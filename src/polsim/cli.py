@@ -257,7 +257,7 @@ def _run_propagate(cfg, scales, params, outdir, ts):
             z, er.real, er.imag, abs(er), abs(er) ** 2,
             el.real, el.imag, abs(el), abs(el) ** 2,
         )
-        for z, er, el in zip(field.z * scales.z_b, field.e_right, field.e_left)
+        for z, er, el in zip(field.z, field.e_right, field.e_left)
     ]
     header = [
         "z (m)",

@@ -8,13 +8,16 @@ probe frequency and in the exact zero-frequency (cw) limit, where the
 closed-form solution is also provided for cross-checking.
 
 The integrator works on the dimensionless coordinate zeta = z / z_b in
-which the rescaled susceptibilities are per-unit-length.  It builds one
-fourth-order update matrix per step (vectorized over steps), multiplies
-them with a pairwise tree reduction, and accepts the result only after a
-step-halving comparison.  When the accumulated fundamental matrix is too
-ill-conditioned for the single-shot boundary solve, the domain is split
-and the interface values are obtained from one block linear system
-(multiple shooting).
+which the rescaled susceptibilities are per-unit-length.  Fields of 2x2
+matrices are held as four component arrays, so every matrix product is
+elementwise arithmetic over the steps.  It builds one fourth-order update
+matrix per step, multiplies them with a pairwise tree reduction, and
+accepts the result only after a step-halving comparison; a halved grid
+reuses every coefficient of the coarser one, so each point is evaluated
+once.  The field follows from running products built by doubling.  When
+the accumulated fundamental matrix is too ill-conditioned for the
+single-shot boundary solve, the domain is split and the interface values
+are obtained from one block linear system (multiple shooting).
 """
 
 from __future__ import annotations
@@ -114,9 +117,8 @@ class ScatterResult:
     """Scattering solution for a unit-amplitude probe entering at z = 0.
 
     ``transmission`` is E_right(L), ``reflection`` is E_left(0) and
-    ``absorption`` the power unaccounted for by either; ``n_gate`` counts
-    the stored gate excitations (0 or 1).  ``segments`` is 1 for a
-    single-shot solve, the shooting-segment count otherwise, and 0 for
+    ``absorption`` the power unaccounted for by either.  ``segments`` is 1
+    for a single-shot solve, the shooting-segment count otherwise, and 0 for
     closed-form results.
     """
 
@@ -125,7 +127,6 @@ class ScatterResult:
     transmission: complex
     reflection: complex
     absorption: float
-    n_gate: int
     field: TwoModeField | None
     richardson_error: float
     segments: int
@@ -176,67 +177,128 @@ def _build_nodes(length_zb: float, x_zb: float, spec: GridSpec) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _refine(nodes: np.ndarray) -> np.ndarray:
-    return np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+def _mul(p, q):
+    """Elementwise 2x2 products p @ q of component stacks, shape (4, ...).
 
-
-def _rk4_updates(nodes_zb, x, omega, config, scales, cw):
-    """One fourth-order update matrix per step, shape (n_steps, 2, 2).
-
-    The ODE integrated is d psi / d zeta = -i M(zeta) psi.
+    A component stack holds the entries (m00, m01, m10, m11) of a field of
+    2x2 matrices as four arrays.
     """
-    z = nodes_zb * scales.z_b
-    mid = 0.5 * (z[:-1] + z[1:])
-    a1 = -1j * propagation_matrix(z[:-1], x, omega, config, scales, cw)
-    a2 = -1j * propagation_matrix(mid, x, omega, config, scales, cw)
-    a3 = -1j * propagation_matrix(z[1:], x, omega, config, scales, cw)
-    h = np.diff(nodes_zb)[:, None, None]
-    eye = np.eye(2, dtype=np.complex128)
-    k1 = a1
-    k2 = a2 @ (eye + 0.5 * h * k1)
-    k3 = a2 @ (eye + 0.5 * h * k2)
-    k4 = a3 @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _ordered_product(updates: np.ndarray) -> np.ndarray:
-    """Product updates[-1] @ ... @ updates[0] by pairwise tree reduction."""
-    p = updates
-    while p.shape[0] > 1:
-        n = p.shape[0] // 2
-        q = np.matmul(p[1 : 2 * n : 2], p[0 : 2 * n : 2])
-        if p.shape[0] % 2:
-            q = np.concatenate([q, p[-1:]])
-        p = q
-    return p[0]
-
-
-def _accumulate(updates: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    out = np.empty((updates.shape[0] + 1, 2), dtype=np.complex128)
-    out[0] = psi0
-    cur = psi0
-    for i in range(updates.shape[0]):
-        cur = updates[i] @ cur
-        out[i + 1] = cur
+    out = np.empty(p.shape, dtype=np.complex128)
+    out[0] = p[0] * q[0] + p[1] * q[2]
+    out[1] = p[0] * q[1] + p[1] * q[3]
+    out[2] = p[2] * q[0] + p[3] * q[2]
+    out[3] = p[2] * q[1] + p[3] * q[3]
     return out
 
 
-def _multiple_shooting(nodes, updates, spec, omega, x, scales, err):
-    n_steps = updates.shape[0]
+def _interleave(nodes, mid):
+    """Nodes (last axis) with the step midpoints between them."""
+    out = np.empty(nodes.shape[:-1] + (2 * nodes.shape[-1] - 1,), dtype=nodes.dtype)
+    out[..., 0::2] = nodes
+    out[..., 1::2] = mid
+    return out
+
+
+def _rk4_updates(nodes_zb, a_nodes, a_mid):
+    """Fourth-order update matrix of every step, as a component stack.
+
+    The ODE integrated is d psi / d zeta = A psi with A = -1j M, sampled at
+    the nodes (``a_nodes``) and the step midpoints (``a_mid``).
+    """
+    h = np.diff(nodes_zb)
+    a1 = a_nodes[:, :-1]
+    a3 = a_nodes[:, 1:]
+
+    def shifted(k, f):
+        # identity + f * k
+        out = f * k
+        out[0] += 1.0
+        out[3] += 1.0
+        return out
+
+    k1 = a1
+    k2 = _mul(a_mid, shifted(k1, 0.5 * h))
+    k3 = _mul(a_mid, shifted(k2, 0.5 * h))
+    k4 = _mul(a3, shifted(k3, h))
+    return shifted(k1 + 2.0 * k2 + 2.0 * k3 + k4, h / 6.0)
+
+
+def _tree_product(updates):
+    """Product updates[-1] @ ... @ updates[0] by pairwise tree reduction."""
+    p = updates
+    while p.shape[1] > 1:
+        n = p.shape[1] // 2
+        q = _mul(p[:, 1 : 2 * n : 2], p[:, 0 : 2 * n : 2])
+        if p.shape[1] % 2:
+            q = np.concatenate([q, p[:, -1:]], axis=1)
+        p = q
+    return p[:, 0]
+
+
+def _running_products(updates, starts):
+    """Running products within segments, by doubling.
+
+    Segments start at the steps ``starts`` (ascending, the first being 0).
+    Returns ``(p, seg)``: column i of ``p`` is updates[i] @ ... @
+    updates[starts[seg[i]]], the product over its segment up to step i.
+    """
+    n = updates.shape[1]
+    seg = np.searchsorted(starts, np.arange(n), side="right") - 1
+    # steps from their segment's first step
+    depth = np.arange(n) - starts[seg]
+    p = updates.copy()
+    shift = 1
+    while shift <= depth.max():
+        q = _mul(p[:, shift:], p[:, :-shift])
+        np.copyto(p[:, shift:], q, where=depth[shift:] >= shift)
+        shift *= 2
+    return p, seg
+
+
+def _field(p, seg, starts, values):
+    """psi at every node: segment j starts from ``values[j]`` at its first node."""
+    v = values[seg]
+    psi = np.empty((p.shape[1] + 1, 2), dtype=np.complex128)
+    psi[1:, 0] = p[0] * v[:, 0] + p[1] * v[:, 1]
+    psi[1:, 1] = p[2] * v[:, 0] + p[3] * v[:, 1]
+    psi[starts] = values
+    return psi
+
+
+def _scatter_result(omega, x, t, r, nodes, psi, scales, err, segments):
+    return ScatterResult(
+        omega=float(omega),
+        x=float(x),
+        transmission=complex(t),
+        reflection=complex(r),
+        absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
+        field=TwoModeField(
+            z=nodes * scales.z_b,
+            e_right=psi[:, 0],
+            e_left=psi[:, 1],
+            omega=float(omega),
+            x_gate=float(x),
+        ),
+        richardson_error=err,
+        segments=segments,
+    )
+
+
+def _multiple_shooting(nodes, updates, omega, x, scales, err):
+    n_steps = updates.shape[1]
     m = min(_N_SEGMENTS, n_steps)
     bounds = np.unique(np.linspace(0, n_steps, m + 1).astype(int))
     m = bounds.size - 1
-    products = [
-        _ordered_product(updates[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    p, seg = _running_products(updates, bounds[:-1])
+    products = p[:, bounds[1:] - 1].T.reshape(m, 2, 2)
 
     # unknowns (psi_0, ..., psi_m); rows: continuity across each segment,
     # then the two boundary conditions
     size = 2 * (m + 1)
     block = np.zeros((size, size), dtype=np.complex128)
     rhs = np.zeros(size, dtype=np.complex128)
-    for j, p in enumerate(products):
-        block[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = p
+    for j, prod in enumerate(products):
+        block[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = prod
         block[2 * j, 2 * j + 2] = -1.0
         block[2 * j + 1, 2 * j + 3] = -1.0
     block[size - 2, 0] = 1.0
@@ -256,28 +318,9 @@ def _multiple_shooting(nodes, updates, spec, omega, x, scales, err):
             f"interface solve residual {residual:.3g} after domain splitting"
         )
 
-    psi = np.empty((nodes.size, 2), dtype=np.complex128)
-    for j in range(m):
-        a, b = bounds[j], bounds[j + 1]
-        psi[a : b + 1] = _accumulate(updates[a:b], sol[2 * j : 2 * j + 2])
-    t = complex(sol[size - 2])
-    r = complex(sol[1])
-    return ScatterResult(
-        omega=omega,
-        x=x,
-        transmission=t,
-        reflection=r,
-        absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        n_gate=1,
-        field=TwoModeField(
-            z=nodes * scales.z_b,
-            e_right=psi[:, 0],
-            e_left=psi[:, 1],
-            omega=omega,
-            x_gate=x,
-        ),
-        richardson_error=err,
-        segments=m,
+    psi = _field(p, seg, bounds[:-1], sol[: 2 * m].reshape(m, 2))
+    return _scatter_result(
+        omega, x, sol[size - 2], sol[1], nodes, psi, scales, err, m
     )
 
 
@@ -302,20 +345,31 @@ def solve_bvp(omega, x, config, grid_spec=None, cw=False, scales=None):
             "response; request the cw solution with cw=True"
         )
 
-    length_zb = config.L / scales.z_b
-    x_zb = x / scales.z_b
-    nodes = _build_nodes(length_zb, x_zb, spec)
-    updates = _rk4_updates(nodes, x, omega, config, scales, cw)
-    phi = _ordered_product(updates)
+    def coefficients(points):
+        # -1j M as a component stack, one evaluation per point
+        m = propagation_matrix(points * scales.z_b, x, omega, config, scales, cw)
+        return -1j * m.reshape(-1, 4).T
+
+    # each level's nodes are the previous level's nodes and step midpoints,
+    # so only the new midpoints are evaluated
+    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b, spec)
+    a_nodes = coefficients(nodes)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    a_mid = coefficients(mid)
+    updates = _rk4_updates(nodes, a_nodes, a_mid)
+    phi = _tree_product(updates)
     err = math.inf
     for _ in range(spec.max_refinements):
-        nodes_f = _refine(nodes)
-        updates_f = _rk4_updates(nodes_f, x, omega, config, scales, cw)
-        phi_f = _ordered_product(updates_f)
+        nodes = _interleave(nodes, mid)
+        a_nodes = _interleave(a_nodes, a_mid)
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        a_mid = coefficients(mid)
+        updates = _rk4_updates(nodes, a_nodes, a_mid)
+        phi_f = _tree_product(updates)
         err = float(
             np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
         )
-        nodes, updates, phi = nodes_f, updates_f, phi_f
+        phi = phi_f
         if err <= spec.richardson_tol:
             break
     else:
@@ -325,34 +379,20 @@ def solve_bvp(omega, x, config, grid_spec=None, cw=False, scales=None):
             achieved=err,
         )
 
-    cond = np.linalg.cond(phi)
+    cond = np.linalg.cond(phi.reshape(2, 2))
     if not np.isfinite(cond) or cond > spec.cond_limit:
-        return _multiple_shooting(nodes, updates, spec, omega, x, scales, err)
+        return _multiple_shooting(nodes, updates, omega, x, scales, err)
 
-    if phi[1, 1] == 0.0:
+    if phi[3] == 0.0:
         raise IllConditionedError("boundary solve hit a vanishing pivot")
-    r = -phi[1, 0] / phi[1, 1]
+    r = -phi[2] / phi[3]
     if not np.isfinite(r):
         raise IllConditionedError("boundary solve produced a non-finite reflection")
-    psi = _accumulate(updates, np.array([1.0, r], dtype=np.complex128))
-    t = complex(psi[-1, 0])
-    return ScatterResult(
-        omega=float(omega),
-        x=float(x),
-        transmission=t,
-        reflection=complex(r),
-        absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        n_gate=1,
-        field=TwoModeField(
-            z=nodes * scales.z_b,
-            e_right=psi[:, 0],
-            e_left=psi[:, 1],
-            omega=float(omega),
-            x_gate=float(x),
-        ),
-        richardson_error=err,
-        segments=1,
-    )
+    starts = np.zeros(1, dtype=int)
+    p, seg = _running_products(updates, starts)
+    psi = _field(p, seg, starts, np.array([[1.0, r]], dtype=np.complex128))
+    t = phi[0] + phi[1] * r
+    return _scatter_result(omega, x, t, r, nodes, psi, scales, err, 1)
 
 
 def cw_analytic(x, config, z=None, scales=None):
@@ -374,7 +414,7 @@ def cw_analytic(x, config, z=None, scales=None):
     field = None
     if z is not None:
         z = np.asarray(z, dtype=float)
-        nu_run = np.array([nu(float(zi), x, scales) for zi in z])
+        nu_run = nu(z, x, scales)
         e_right = 1.0 - nu_run / denom
         e_left = cmath.exp(-1j * config.phi) * (nu_total - nu_run) / denom
         field = TwoModeField(
@@ -386,7 +426,6 @@ def cw_analytic(x, config, z=None, scales=None):
         transmission=complex(t),
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        n_gate=1,
         field=field,
         richardson_error=0.0,
         segments=0,

@@ -189,8 +189,8 @@ def evolve_cw(
     zb = scales.z_b
     length_r = config.L / zb
     d_b = scales.d_b
-    # boundary transmission prefactors, one quadrature per grid point
-    t = np.array([1.0 / (1.0 + nu(config.L, x, scales)) for x in grid])
+    # boundary transmission prefactors
+    t = 1.0 / (1.0 + nu(config.L, grid, scales))
 
     n = grid.size
     factor = np.ones((n, n), dtype=complex)

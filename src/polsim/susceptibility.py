@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core_model import DerivedScales, PhysicalConfig, derive_scales
-from .errors import QuadratureError, SingularFrequencyError, SusceptibilityPoleError
+from .errors import SingularFrequencyError, SusceptibilityPoleError
 
 __all__ = [
     "SusceptibilityTriple",
@@ -189,44 +188,33 @@ def chi0_cw(dz, scales: DerivedScales):
     return out
 
 
-def nu(z: float, x: float, scales: DerivedScales, *, epsabs: float = 1e-10) -> complex:
+# The six roots r of r**6 = -2j and the partial-fraction weights of the CW
+# kernel 1/(u**6 + 2j), 1/(6 r**5) = r/(6 r**6) = 1j r / 12.
+_KERNEL_ROOTS = 2.0 ** (1.0 / 6.0) * np.exp(1j * np.pi * (4 * np.arange(6) - 1) / 12.0)
+_KERNEL_WEIGHTS = 1j * _KERNEL_ROOTS / 12.0
+
+
+def nu(z, x, scales: DerivedScales):
     """Accumulated CW response ``1j * integral_0^z chi0(z' - x) dz'``.
 
-    ``z`` and ``x`` are physical lengths; the integral is evaluated in
-    blockade-radius units with adaptive quadrature split at the gate point,
-    to absolute tolerance ``epsabs``.
+    ``z`` and ``x`` are physical lengths, scalars or arrays that broadcast.
+    The integral is exact: in blockade-radius units the kernel is
+    ``d_b / (u**6 + 2j)`` over ``u`` from ``a = -x / z_b`` to
+    ``b = (z - x) / z_b``, and its partial fractions over the six roots r of
+    ``r**6 = -2j`` integrate to ``sum [log(b - r) - log(a - r)] / (6 r**5)``.
+    No root is real, so each principal log is continuous along the real
+    axis.
     """
-    if z < 0.0:
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0.0):
         raise ValueError(f"z must be nonnegative, got {z!r}")
-    if z == 0.0:
-        return 0.0 + 0.0j
-    zr = z / scales.z_b
-    xr = x / scales.z_b
-    d_b = scales.d_b
-
-    def integrand(u):
-        return d_b / ((u - xr) ** 6 + 2j)
-
-    pts = sorted(p for p in (xr - 3.0, xr - 1.0, xr, xr + 1.0, xr + 3.0) if 0.0 < p < zr)
-    val, err = quad(
-        integrand,
-        0.0,
-        zr,
-        points=pts or None,
-        limit=400,
-        epsabs=epsabs,
-        epsrel=1e-10,
-        complex_func=True,
-    )
-    # complex_func integrations report the two component errors packed into
-    # one complex number.
-    err_total = abs(complex(err).real) + abs(complex(err).imag)
-    if err_total > max(10.0 * epsabs, 1e-8 * abs(val)):
-        raise QuadratureError(
-            f"nu quadrature did not converge (estimate {err_total:.3g})",
-            achieved=err_total,
-        )
-    return 1j * val
+    lo = -np.asarray(x, dtype=float)[..., None] / scales.z_b
+    hi = z_arr[..., None] / scales.z_b + lo
+    logs = np.log(hi - _KERNEL_ROOTS) - np.log(lo - _KERNEL_ROOTS)
+    val = 1j * scales.d_b * np.sum(_KERNEL_WEIGHTS * logs, axis=-1)
+    if np.ndim(val) == 0:
+        return complex(val)
+    return val
 
 
 def nu_infinity() -> complex:

@@ -124,6 +124,21 @@ class TestPropagateTask:
         assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
         assert abs(float(rows[-1][5])) < 1e-8  # no backward input at exit
 
+    def test_z_column_is_in_metres(self, tmp_path):
+        # C6 = 64 makes z_b = 2, so a column scaled by z_b twice ends at 2 L
+        physical = dict(PHYSICAL, C6=64.0, L=48.0, x_gate=24.0)
+        cfg = write_config(
+            tmp_path, physical=physical, task="propagate",
+            task_params={"omega": 0.0}, output_dir=str(tmp_path / "out"),
+        )
+        assert main(["propagate", "--config", str(cfg)]) == 0
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["derived_scales"]["z_b"] == pytest.approx(2.0, rel=1e-12)
+        rows = csv_rows(tmp_path / "out" / manifest["artifacts"][0])
+        assert rows[0][0] == "z (m)"
+        assert float(rows[1][0]) == 0.0
+        assert float(rows[-1][0]) == pytest.approx(48.0, rel=1e-12)
+
 
 class TestSpinwaveTask:
     def test_summary_and_matrices(self, tmp_path):

@@ -5,8 +5,12 @@ exact zero-frequency solution built from the kernel integral, pointwise
 along the medium, over a sweep of depths and gate positions.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from polsim.core_model import PhysicalConfig, derive_scales
@@ -17,6 +21,8 @@ from polsim.errors import (
     SingularFrequencyError,
 )
 from polsim.propagation import (
+    _N_SEGMENTS,
+    _build_nodes,
     GridSpec,
     T0Spectrum,
     cw_analytic,
@@ -86,7 +92,6 @@ class TestSolveBvpCw:
             for x in (8.0, 12.0, 16.0):
                 res = solve_bvp(0.0, x, cfg, cw=True)
                 assert res.segments == 1
-                assert res.n_gate == 1
                 stride = max(1, res.field.z.size // 20)
                 sample = res.field.z[::stride]
                 ana = cw_analytic(x, cfg, z=sample)
@@ -167,6 +172,141 @@ class TestSolveBvpFiniteFrequency:
         assert abs(forced.reflection - plain.reflection) < 1e-10
         assert forced.field.e_right[0] == 1.0
         assert abs(forced.field.e_left[-1]) < 1e-8
+
+
+def reference_solve(omega, x, config, spec=None, cw=False):
+    """Straightforward solver the component-wise kernel must reproduce.
+
+    Same nodes, RK4 scheme, Richardson test and shooting fallback, but each
+    level evaluates its three coefficient stacks afresh, the updates are
+    (n, 2, 2) arrays multiplied with ``np.matmul``, and the field is
+    accumulated one step at a time.  Returns (t, r, z, psi, segments).
+    """
+    spec = spec or GridSpec()
+    scales = derive_scales(config)
+    eye = np.eye(2, dtype=complex)
+
+    def updates_on(nodes):
+        z = nodes * scales.z_b
+        a1, a2, a3 = (
+            -1j * propagation_matrix(pts, x, omega, config, scales, cw)
+            for pts in (z[:-1], 0.5 * (z[:-1] + z[1:]), z[1:])
+        )
+        h = np.diff(nodes)[:, None, None]
+        k1 = a1
+        k2 = a2 @ (eye + 0.5 * h * k1)
+        k3 = a2 @ (eye + 0.5 * h * k2)
+        k4 = a3 @ (eye + h * k3)
+        return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def tree(u):
+        while u.shape[0] > 1:
+            n = u.shape[0] // 2
+            q = u[1 : 2 * n : 2] @ u[0 : 2 * n : 2]
+            u = np.concatenate([q, u[-1:]]) if u.shape[0] % 2 else q
+        return u[0]
+
+    def accumulate(u, psi0):
+        out = [psi0]
+        for step in u:
+            out.append(step @ out[-1])
+        return np.array(out)
+
+    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b, spec)
+    phi = tree(updates_on(nodes))
+    for _ in range(spec.max_refinements):
+        nodes = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+        u = updates_on(nodes)
+        phi_f = tree(u)
+        err = np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
+        phi = phi_f
+        if err <= spec.richardson_tol:
+            break
+    else:
+        raise AssertionError("reference solve did not converge")
+
+    z = nodes * scales.z_b
+    if np.linalg.cond(phi) <= spec.cond_limit:
+        r = -phi[1, 0] / phi[1, 1]
+        psi = accumulate(u, np.array([1.0, r]))
+        return psi[-1, 0], r, z, psi, 1
+    bounds = np.unique(np.linspace(0, len(u), _N_SEGMENTS + 1).astype(int))
+    m = bounds.size - 1
+    size = 2 * (m + 1)
+    block = np.zeros((size, size), dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
+    for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        block[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = tree(u[a:b])
+        block[2 * j, 2 * j + 2] = block[2 * j + 1, 2 * j + 3] = -1.0
+    block[size - 2, 0] = rhs[size - 2] = block[size - 1, size - 1] = 1.0
+    sol = np.linalg.solve(block, rhs)
+    psi = np.empty((len(z), 2), dtype=complex)
+    for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        psi[a : b + 1] = accumulate(u[a:b], sol[2 * j : 2 * j + 2])
+    return sol[size - 2], sol[1], z, psi, m
+
+
+def criterion_10_config():
+    twopi = 2.0 * np.pi
+    gamma, c6, omega_s = twopi * 3.05e6, 3.573e-22, twopi * 20e6
+    z_b = (c6 * gamma / omega_s**2) ** (1.0 / 6.0)
+    l_abs = z_b / 5.0
+    return PhysicalConfig(
+        G=float(np.sqrt(3e8 * gamma / l_abs)), Omega=twopi * 5e6, OmegaS=omega_s,
+        gamma=gamma, phi=0.0, c=3e8, C6=c6, L=25.0 * l_abs, x_gate=12.5 * l_abs,
+    )
+
+
+class TestKernelAgainstStackedReference:
+    """The component-wise kernel against ``reference_solve``."""
+
+    @staticmethod
+    def assert_same(omega, x, cfg, spec=None, cw=False):
+        res = solve_bvp(omega, x, cfg, grid_spec=spec, cw=cw)
+        t, r, z, psi, segments = reference_solve(omega, x, cfg, spec, cw)
+        assert res.segments == segments
+        assert abs(res.transmission - t) <= 1e-12
+        assert abs(res.reflection - r) <= 1e-12
+        assert np.array_equal(res.field.z, z)
+        assert np.max(np.abs(res.field.e_right - psi[:, 0])) <= 1e-10
+        assert np.max(np.abs(res.field.e_left - psi[:, 1])) <= 1e-10
+        return res
+
+    def test_criterion_10_medium(self):
+        cfg = criterion_10_config()
+        for omega in (-2.5e7, -1.25e5, 3.0e6, 2.5e7):
+            assert self.assert_same(omega, cfg.x_gate, cfg).segments == 1
+
+    def test_deep_unit_medium_shoots(self):
+        res = self.assert_same(0.45, 12.3, make_config(5.0))
+        assert res.segments > 1
+
+    def test_forced_domain_splitting(self):
+        res = self.assert_same(0.3, 12.0, make_config(5.0), GridSpec(cond_limit=1.5))
+        assert res.segments > 1
+
+    def test_cw_kernel(self):
+        self.assert_same(0.0, 8.0, make_config(2.0), cw=True)
+
+
+class TestSolveBvpProperties:
+    @given(
+        d_b=st.floats(min_value=0.2, max_value=5.0),
+        x_frac=st.floats(min_value=0.0, max_value=1.0),
+        omega=st.floats(min_value=0.02, max_value=0.5),
+        sign=st.sampled_from([-1.0, 1.0]),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_passive_and_phase_covariant(self, d_b, x_frac, omega, sign, phi):
+        length = 6.0
+        x = x_frac * length
+        base = solve_bvp(sign * omega, x, make_config(d_b, L=length))
+        turned = solve_bvp(sign * omega, x, make_config(d_b, L=length, phi=phi))
+        for res in (base, turned):
+            assert res.absorption >= -1e-12
+        assert abs(turned.transmission - base.transmission) <= 1e-10
+        assert abs(turned.reflection - np.exp(-1j * phi) * base.reflection) <= 1e-10
 
 
 class TestBulkCoefficients:

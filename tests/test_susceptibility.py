@@ -2,11 +2,12 @@
 
 The finite-frequency formulas are checked against an independently coded
 symbolic route (sympy, 30-digit evaluation), and the accumulated CW response
-nu against a dense-grid trapezoid oracle.
+nu against a dense-grid trapezoid oracle and 30-digit mpmath quadrature.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -188,6 +189,33 @@ class TestNu:
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
             nu(-1.0, 0.0, SCALES)
+        with pytest.raises(ValueError):
+            nu(np.array([1.0, -1.0]), 0.0, SCALES)
+
+    def test_matches_mpmath_oracle_on_long_media(self):
+        # 30-digit quadrature split at the kernel's shoulders; media up to
+        # 1e5 blockade radii, where adaptive double quadrature drifts
+        mpmath.mp.dps = 30
+        try:
+            for z, x in ((3.0, 1.0), (40.0, 20.0), (1e4, 0.0), (1e4, 1e4),
+                         (1e5, 0.0), (1e5, 5e4), (1e5, 99990.5)):
+                zr, xr = mpmath.mpf(z), mpmath.mpf(x)
+                cuts = [p for p in (xr - 3, xr - 1, xr, xr + 1, xr + 3) if 0 < p < zr]
+                ref = 1j * mpmath.quad(
+                    lambda u: SCALES.d_b / ((u - xr) ** 6 + 2j), [0, *cuts, zr]
+                )
+                assert abs(nu(z, x, SCALES) - complex(ref)) <= 1e-13 * SCALES.d_b
+        finally:
+            mpmath.mp.dps = 15
+
+    def test_array_input_matches_scalars(self):
+        zs = np.array([0.0, 0.7, 5.0, 30.0])
+        xs = np.array([[0.0], [15.0]])
+        arr = nu(zs, xs, SCALES)
+        assert arr.shape == (2, 4)
+        for i, x in enumerate(xs[:, 0]):
+            for j, z in enumerate(zs):
+                assert arr[i, j] == nu(float(z), float(x), SCALES)
 
 
 class TestNuInfinity:
