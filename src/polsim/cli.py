@@ -1,16 +1,17 @@
 """Batch front-end: JSON experiment configs in, CSV/JSON artifacts out.
 
-Every run resolves one config file against a strict schema, dispatches to
-the compute modules, and finishes by writing ``manifest.json`` with the
-resolved parameters, derived scales, collected warnings, and artifact list.
-The manifest is written last, so its presence certifies a complete run.
-CSV bodies are deterministic for identical configs; only filenames and the
-manifest timestamp vary between runs.
+Every run resolves one config file against a strict schema, computes all
+of its artifacts in memory, and only then writes them, under names carrying
+the run id, followed by ``manifest.json`` with the resolved parameters,
+derived scales, collected warnings, and artifact list.  The manifest comes
+last, so its presence certifies a complete run.  CSV bodies are deterministic
+for identical configs; only filenames and the manifest timestamp vary.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -18,7 +19,6 @@ import os
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -109,6 +109,24 @@ def _integer(params: dict, key: str, minimum: int = 1) -> int:
     return value
 
 
+def _number_list(params: dict, key: str) -> list[float]:
+    values = params[key]
+    if (not isinstance(values, list) or not values
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
+        raise SchemaError(f"task_params.{key} must be a nonempty list of numbers")
+    return sorted(float(v) for v in values)
+
+
+def _grid(params: dict, name: str, n_key: str, positive: bool = False) -> np.ndarray:
+    lo = float(params[f"{name}_min"])
+    hi = float(params[f"{name}_max"])
+    n = _integer(params, n_key, minimum=2)
+    if not lo < hi or (positive and lo <= 0.0):
+        bound = "0 < " if positive else ""
+        raise SchemaError(f"task_params must satisfy {bound}{name}_min < {name}_max")
+    return np.linspace(lo, hi, n)
+
+
 def _resolve_params(task: str, raw: dict) -> dict:
     required, optional = _TASK_PARAMS[task]
     _check_keys(raw, required, optional, f"task_params ({task})")
@@ -175,20 +193,39 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _parallel_map(fn, items):
-    items = list(items)
-    threads = int(os.environ.get("POLSIM_THREADS", "1") or "1")
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # executor.map preserves input order, keeping output deterministic
-        return list(pool.map(fn, items))
+def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:
+    """Write each artifact ``stem.ext`` as ``stem_<run_id>.ext``, then the manifest.
+
+    A failed write removes what this call published or created, so no partial
+    set survives, and is raised as a SchemaError (unusable output directory).
+    """
+    names = []
+    for name in artifacts:
+        stem, _, ext = name.rpartition(".")
+        names.append(f"{stem}_{run_id}.{ext}")
+    manifest_text = _json_text(dict(manifest, artifacts=names))
+    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
+    published = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in zip(names, artifacts.values()):
+            _atomic_write(outdir / name, text)
+            published.append(outdir / name)
+        _atomic_write(outdir / "manifest.json", manifest_text)
+    except OSError as exc:
+        for path in published:
+            path.unlink(missing_ok=True)
+        for path in created:  # innermost first; a directory in use stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise SchemaError(f"cannot write output directory {outdir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# task implementations; each returns (artifacts, manifest_extras)
+# task implementations; each returns ({artifact name: text}, manifest_extras)
+# and touches no file
 
-def _run_spectrum(cfg, scales, params, outdir, ts):
+def _run_spectrum(cfg, scales, params):
     regime = params["regime"]
     if regime not in REGIMES:
         raise SchemaError(f"task_params.regime must be one of {REGIMES}, got {regime!r}")
@@ -210,20 +247,13 @@ def _run_spectrum(cfg, scales, params, outdir, ts):
         "weight_forward (fraction)", "weight_backward (fraction)",
         "weight_matter (fraction)",
     ]
-    name = f"spectrum_{ts}.csv"
-    _atomic_write(outdir / name, _csv_text(header, rows))
     n_dark = sum(1 for b in branches if b.kind == "dark")
-    return [name], {"regime": regime, "n_branches": len(branches), "n_dark": n_dark}
+    extras = {"regime": regime, "n_branches": len(branches), "n_dark": n_dark}
+    return {"spectrum.csv": _csv_text(header, rows)}, extras
 
 
-def _run_t0(cfg, scales, params, outdir, ts):
-    lo = float(params["omega_min"])
-    hi = float(params["omega_max"])
-    n = _integer(params, "n_omega", minimum=2)
-    if not lo < hi:
-        raise SchemaError("task_params.omega_min must be below omega_max")
-    grid = np.linspace(lo, hi, n)
-    result = t0_spectrum(grid, cfg, scales)
+def _run_t0(cfg, scales, params):
+    result = t0_spectrum(_grid(params, "omega", "n_omega"), cfg, scales)
     rows = [
         (w, t.real, t.imag, abs(t), abs(t) ** 2, r.real, r.imag, abs(r), abs(r) ** 2)
         for w, t, r in zip(result.omega, result.transmission, result.reflection)
@@ -235,8 +265,6 @@ def _run_t0(cfg, scales, params, outdir, ts):
         "re_R0 (amplitude)", "im_R0 (amplitude)", "abs_R0 (amplitude)",
         "abs_R0_sq (power)",
     ]
-    name = f"t0_{ts}.csv"
-    _atomic_write(outdir / name, _csv_text(header, rows))
     extras = {}
     if params["fit_width"]:
         fitted = fitted_transparency_width(result)
@@ -245,10 +273,10 @@ def _run_t0(cfg, scales, params, outdir, ts):
             "predicted (rad/s)": scales.delta_omega0,
             "rel_error": abs(fitted - scales.delta_omega0) / scales.delta_omega0,
         }
-    return [name], extras
+    return {"t0.csv": _csv_text(header, rows)}, extras
 
 
-def _run_propagate(cfg, scales, params, outdir, ts):
+def _run_propagate(cfg, scales, params):
     omega = float(params["omega"])
     result = solve_bvp(omega, cfg.x_gate, cfg, scales=scales, cw=(omega == 0.0))
     field = result.field
@@ -266,8 +294,6 @@ def _run_propagate(cfg, scales, params, outdir, ts):
         "re_E_bwd (amplitude)", "im_E_bwd (amplitude)", "abs_E_bwd (amplitude)",
         "abs_E_bwd_sq (power)",
     ]
-    name = f"propagate_{ts}.csv"
-    _atomic_write(outdir / name, _csv_text(header, rows))
     extras = {
         "omega (rad/s)": omega,
         "transmission": {"re": result.transmission.real, "im": result.transmission.imag,
@@ -278,37 +304,27 @@ def _run_propagate(cfg, scales, params, outdir, ts):
         "richardson_error": result.richardson_error,
         "segments": result.segments,
     }
-    return [name], extras
+    return {"propagate.csv": _csv_text(header, rows)}, extras
 
 
-def _run_cw(cfg, scales, params, outdir, ts):
-    lo = float(params["d_b_min"])
-    hi = float(params["d_b_max"])
-    n = _integer(params, "n_db", minimum=2)
-    if not 0.0 < lo < hi:
-        raise SchemaError("task_params must satisfy 0 < d_b_min < d_b_max")
-    dbs = np.linspace(lo, hi, n)
-
-    def one(d_b):
+def _run_cw(cfg, scales, params):
+    rows = []
+    for d_b in _grid(params, "d_b", "n_db", positive=True):
         t, r, loss = cw_bulk_coefficients(float(d_b), cfg.phi)
-        return (
+        rows.append((
             d_b, abs(t), abs(t) ** 2, abs(r), abs(r) ** 2,
             math.atan2(r.imag, r.real), loss, blockade_loss_baseline(float(d_b)),
-        )
-
-    rows = _parallel_map(one, dbs)
+        ))
     header = [
         "d_b (dimensionless)",
         "abs_T1 (amplitude)", "abs_T1_sq (power)",
         "abs_R1 (amplitude)", "abs_R1_sq (power)", "arg_R1 (rad)",
         "loss_A (fraction)", "blockade_loss_baseline (fraction)",
     ]
-    name = f"cw_{ts}.csv"
-    _atomic_write(outdir / name, _csv_text(header, rows))
-    return [name], {}
+    return {"cw.csv": _csv_text(header, rows)}, {}
 
 
-def _run_spinwave(cfg, scales, params, outdir, ts):
+def _run_spinwave(cfg, scales, params):
     n = _integer(params, "n_samples", minimum=64)
     rho0 = initial_sine_mode(cfg.L, n)
     evolved = evolve_cw(rho0, cfg, scales)
@@ -317,10 +333,6 @@ def _run_spinwave(cfg, scales, params, outdir, ts):
         header = ["x\\y (m)"] + [_fmt(y) for y in evolved.grid]
         rows = [(x, *row) for x, row in zip(evolved.grid, matrix)]
         return _csv_text(header, rows)
-
-    names = [f"spinwave_re_{ts}.csv", f"spinwave_im_{ts}.csv", f"spinwave_summary_{ts}.json"]
-    _atomic_write(outdir / names[0], matrix_csv(evolved.rho.real))
-    _atomic_write(outdir / names[1], matrix_csv(evolved.rho.imag))
 
     supported = np.abs(rho0.rho) > 0
     ratio = np.ones_like(rho0.rho, dtype=float)
@@ -332,29 +344,33 @@ def _run_spinwave(cfg, scales, params, outdir, ts):
         "min_coherence_ratio": float(ratio.min()),
         "eta_retrieval_estimate": retrieval_eta(evolved),
     }
-    _atomic_write(outdir / names[2], _json_text(summary))
-    return names, {"spinwave_summary": summary}
+    artifacts = {
+        "spinwave_re.csv": matrix_csv(evolved.rho.real),
+        "spinwave_im.csv": matrix_csv(evolved.rho.imag),
+        "spinwave_summary.json": _json_text(summary),
+    }
+    return artifacts, {"spinwave_summary": summary}
 
 
-def _run_fidelity(cfg, scales, params, outdir, ts):
-    lo = float(params["d_b_min"])
-    hi = float(params["d_b_max"])
-    n = _integer(params, "n_db", minimum=2)
-    if not 0.0 < lo < hi:
-        raise SchemaError("task_params must satisfy 0 < d_b_min < d_b_max")
+def _run_fidelity(cfg, scales, params):
+    dbs = _grid(params, "d_b", "n_db", positive=True)
     n_samples = _integer(params, "n_samples", minimum=64)
-    dbs = np.linspace(lo, hi, n)
-
-    def one(d_b):
-        d_b = float(d_b)
+    durations = ()
+    omega_grid = None
+    if params["durations"] is not None:
+        durations = tuple(_number_list(params, "durations"))
+        for key in ("omega_min", "omega_max", "n_omega"):
+            if params[key] is None:
+                raise SchemaError(f"task_params.{key} is required when durations are given")
+        omega_grid = _grid(params, "omega", "n_omega")
+    rows = []
+    for d_b in map(float, dbs):
         f = switch_fidelities(d_b, cfg.phi)
         masked = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
-        return (
+        rows.append((
             d_b, f.classical, f.quantum, f.gate, masked,
             blockade_loss_baseline(d_b),
-        )
-
-    rows = _parallel_map(one, dbs)
+        ))
     header = [
         "d_b (dimensionless)",
         "f_classical_switch (fidelity)", "f_quantum_switch (fidelity)",
@@ -362,43 +378,24 @@ def _run_fidelity(cfg, scales, params, outdir, ts):
         "f_gate_blockade_baseline (fidelity, masked below d_b=6)",
         "f_classical_blockade_baseline (fidelity)",
     ]
-    names = [f"fidelity_{ts}.csv"]
-    _atomic_write(outdir / names[0], _csv_text(header, rows))
-
-    durations = params["durations"]
-    omega_grid = None
-    if durations is not None:
-        if (not isinstance(durations, list) or not durations
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in durations)):
-            raise SchemaError("task_params.durations must be a nonempty list of numbers")
-        for key in ("omega_min", "omega_max", "n_omega"):
-            if params[key] is None:
-                raise SchemaError(f"task_params.{key} is required when durations are given")
-        n_omega = _integer(params, "n_omega", minimum=2)
-        omega_grid = np.linspace(float(params["omega_min"]), float(params["omega_max"]), n_omega)
-
     report = fidelity_report(
-        cfg,
-        durations=tuple(sorted(float(v) for v in durations)) if durations else (),
-        omega_grid=omega_grid,
-        n_samples=n_samples,
+        cfg, durations=durations, omega_grid=omega_grid, n_samples=n_samples
     )
     payload = dataclasses.asdict(report)
     payload["f_pulse"] = {_fmt(k): v for k, v in report.f_pulse.items()}
-    names.append(f"fidelity_report_{ts}.json")
-    _atomic_write(outdir / names[1], _json_text(payload))
-
-    if durations is not None:
+    artifacts = {
+        "fidelity.csv": _csv_text(header, rows),
+        "fidelity_report.json": _json_text(payload),
+    }
+    if durations:
         pulse_rows = sorted(report.f_pulse.items())
-        names.append(f"fidelity_pulse_{ts}.csv")
-        _atomic_write(
-            outdir / names[2],
-            _csv_text(["duration (s)", "fidelity (dimensionless)"], pulse_rows),
+        artifacts["fidelity_pulse.csv"] = _csv_text(
+            ["duration (s)", "fidelity (dimensionless)"], pulse_rows
         )
-    return names, {"operating_point_d_b": scales.d_b}
+    return artifacts, {"operating_point_d_b": scales.d_b}
 
 
-def _run_scan(cfg, scales, params, outdir, ts):
+def _run_scan(cfg, scales, params):
     parameter = params["parameter"]
     if parameter not in _PHYSICAL_KEYS:
         raise SchemaError(
@@ -409,11 +406,7 @@ def _run_scan(cfg, scales, params, outdir, ts):
         raise SchemaError(
             f"task_params.observable must be one of {_SCAN_OBSERVABLES}, got {observable!r}"
         )
-    values = params["values"]
-    if (not isinstance(values, list) or not values
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
-        raise SchemaError("task_params.values must be a nonempty list of numbers")
-    values = sorted(float(v) for v in values)
+    values = _number_list(params, "values")
 
     if observable == "transparency_width":
         def one(value):
@@ -443,10 +436,9 @@ def _run_scan(cfg, scales, params, outdir, ts):
             "abs_R1 (amplitude)", "abs_R1_sq (power)", "loss_A (fraction)",
         ]
 
-    rows = _parallel_map(one, values)
-    name = f"scan_{ts}.csv"
-    _atomic_write(outdir / name, _csv_text(header, rows))
-    return [name], {"parameter": parameter, "observable": observable}
+    rows = [one(value) for value in values]
+    extras = {"parameter": parameter, "observable": observable}
+    return {"scan.csv": _csv_text(header, rows)}, extras
 
 
 _RUNNERS = {
@@ -466,8 +458,9 @@ _RUNNERS = {
 def run(config_path, cli_task: str | None = None, overrides=(), out_override=None) -> int:
     """Execute one experiment config and write its artifacts.
 
-    Raises SchemaError for input problems and lets numerical failures
-    propagate; ``main`` maps these onto exit codes 2 and 3.
+    Raises SchemaError for input problems (an unwritable output directory
+    too) and lets numerical failures propagate; ``main`` maps these onto
+    exit codes 2 and 3.
     """
     path = Path(config_path)
     try:
@@ -507,8 +500,10 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
 
     params = _resolve_params(task, _require_mapping(raw.get("task_params", {}), "task_params"))
 
-    outdir = Path(out_override or raw.get("output_dir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = out_override or raw.get("output_dir", ".")
+    if not isinstance(outdir, (str, os.PathLike)):
+        raise SchemaError(f"output_dir must be a path string, got {outdir!r}")
+    outdir = Path(outdir)
 
     soft_warnings = []
     scales = derive_scales(cfg, allow_oversized_blockade=True)
@@ -518,10 +513,11 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
             "continuing with the oversized-blockade override"
         )
 
-    timestamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    # run id = timestamp to the microsecond + pid, unique per run
+    timestamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        artifacts, extras = _RUNNERS[task](cfg, scales, params, outdir, timestamp)
+        artifacts, extras = _RUNNERS[task](cfg, scales, params)
 
     manifest = {
         "task": task,
@@ -534,10 +530,9 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
         },
         "derived_scales": dataclasses.asdict(scales),
         "warnings": soft_warnings + [str(w.message) for w in caught],
-        "artifacts": artifacts,
     }
     manifest.update(extras)
-    _atomic_write(outdir / "manifest.json", _json_text(manifest))
+    _commit(outdir, f"{timestamp}-{os.getpid()}", artifacts, manifest)
     return 0
 
 

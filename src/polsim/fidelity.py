@@ -21,6 +21,7 @@ from .core_model import (
     PhysicalConfig,
     PulseSpec,
     derive_scales,
+    gaussian_pulse_spectrum,
 )
 from .errors import GridError
 from .propagation import GridSpec, cw_analytic, cw_bulk_coefficients, solve_bvp
@@ -136,6 +137,12 @@ def _config_at_db(d_b: float, config: PhysicalConfig) -> PhysicalConfig:
     return replace(config, G=g_new)
 
 
+def _stored_mode_eta(config: PhysicalConfig, scales: DerivedScales, n_samples: int) -> float:
+    # the half-sine stored mode after CW scattering, in its best retrievable mode
+    rho0 = initial_sine_mode(config.L, n_samples)
+    return retrieval_eta(evolve_cw(rho0, config, scales))
+
+
 def transistor_fidelity(
     d_b: float,
     config: PhysicalConfig,
@@ -153,9 +160,7 @@ def transistor_fidelity(
     if d_b <= 0.0:
         raise ValueError(f"d_b must be positive, got {d_b!r}")
     cfg = _config_at_db(d_b, config)
-    scales = derive_scales(cfg)
-    rho0 = initial_sine_mode(cfg.L, n_samples)
-    eta = retrieval_eta(evolve_cw(rho0, cfg, scales))
+    eta = _stored_mode_eta(cfg, derive_scales(cfg), n_samples)
     return eta * switch_fidelities(d_b).quantum
 
 
@@ -217,15 +222,12 @@ def fidelity_report(
     pulse per duration.  The dispersive gate baseline is reported only at
     feasible depths (d_b >= PI_PHASE_MIN_DB), None otherwise.
     """
-    from .core_model import gaussian_pulse_spectrum
-
     scales = derive_scales(config)
     d_b = scales.d_b
     switches = switch_fidelities(d_b, config.phi)
     baseline = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
 
-    rho0 = initial_sine_mode(config.L, n_samples)
-    eta = retrieval_eta(evolve_cw(rho0, config, scales))
+    eta = _stored_mode_eta(config, scales, n_samples)
 
     pulse_f: dict[float, float] = {}
     if durations:

@@ -1,13 +1,17 @@
 """End-to-end tests of the batch runner: schema, artifacts, determinism."""
 
 import csv
+import errno
+import itertools
 import json
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
+import polsim.cli
 from polsim.cli import main, run
-from polsim.errors import SchemaError
+from polsim.errors import QuadratureError, SchemaError
 from polsim.propagation import cw_bulk_coefficients
 
 PHYSICAL = {
@@ -65,15 +69,23 @@ class TestCwTask:
         dbs = [float(row[0]) for row in rows[1:]]
         assert dbs == sorted(dbs)
 
-    def test_determinism_across_thread_counts(self, tmp_path, monkeypatch):
-        cfg1 = cw_config(tmp_path, out="out1", n_db=16)
-        assert main(["cw", "--config", str(cfg1)]) == 0
-        monkeypatch.setenv("POLSIM_THREADS", "4")
-        cfg2 = cw_config(tmp_path, out="out2", n_db=16)
-        assert main(["cw", "--config", str(cfg2)]) == 0
-        body1 = next((tmp_path / "out1").glob("cw_*.csv")).read_bytes()
-        body2 = next((tmp_path / "out2").glob("cw_*.csv")).read_bytes()
-        assert body1 == body2
+    def test_runs_in_one_second_keep_their_artifacts(self, tmp_path, monkeypatch):
+        class OneSecond(datetime):
+            ticks = itertools.count()
+
+            @classmethod
+            def now(cls, tz=None):
+                return cls(2026, 1, 1, 12, 0, 0, next(cls.ticks), tzinfo=tz)
+
+        monkeypatch.setattr(polsim.cli, "datetime", OneSecond)
+        cfg = cw_config(tmp_path)
+        assert main(["cw", "--config", str(cfg)]) == 0
+        assert main(["cw", "--config", str(cfg), "--set", "task_params.n_db=5"]) == 0
+        outdir = tmp_path / "out"
+        bodies = {p.name: csv_rows(p) for p in outdir.glob("cw_*.csv")}
+        assert sorted(len(rows) for rows in bodies.values()) == [1 + 4, 1 + 5]
+        [latest] = read_manifest(outdir)["artifacts"]
+        assert len(bodies[latest]) == 1 + 5
 
 
 class TestSpectrumTask:
@@ -245,6 +257,69 @@ class TestSchemaAndExitCodes:
         )
         assert main(["scan", "--config", str(cfg)]) == 3
         assert list(out.glob("*")) == []  # no partial artifacts, no manifest
+
+    def test_runner_validation_exits_2_without_output_dir(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = cw_config(tmp_path, d_b_min=10.0, d_b_max=0.5)
+        assert main(["cw", "--config", str(cfg)]) == 2
+        assert not out.exists()
+        physical = dict(PHYSICAL, L=5.0, x_gate=2.5)
+        for extra in (
+            {"durations": "oops"},
+            {"durations": [1.0], "omega_min": 1.0, "omega_max": -1.0, "n_omega": 5},
+        ):
+            cfg = write_config(
+                tmp_path, physical=physical, task="fidelity",
+                task_params={"d_b_min": 1.0, "d_b_max": 10.0, "n_db": 10, **extra},
+                output_dir=str(out),
+            )
+            assert main(["fidelity", "--config", str(cfg)]) == 2
+            assert not out.exists()
+
+    def test_fidelity_report_failure_exits_3_without_artifacts(self, tmp_path, monkeypatch):
+        def stalls(*args, **kwargs):
+            raise QuadratureError("step halving stalled", achieved=1e-6)
+
+        monkeypatch.setattr(polsim.cli, "fidelity_report", stalls)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=PHYSICAL, task="fidelity",
+            task_params={"d_b_min": 1.0, "d_b_max": 10.0, "n_db": 10},
+            output_dir=str(out),
+        )
+        assert main(["fidelity", "--config", str(cfg)]) == 3
+        assert not out.exists()
+
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        cfg = cw_config(tmp_path)
+        for args in (
+            ["--out", str(afile)],
+            ["--set", f"output_dir={afile}"],
+            ["--out", str(afile / "sub")],
+            ["--set", "output_dir=5"],
+        ):
+            assert main(["cw", "--config", str(cfg), *args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("polsim: ") and "Traceback" not in err
+        assert afile.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+    def test_failed_write_removes_the_partial_set(self, tmp_path, monkeypatch):
+        write = polsim.cli._atomic_write
+        calls = itertools.count()
+
+        def fails_second(path, text):
+            if next(calls) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(path, text)
+
+        monkeypatch.setattr(polsim.cli, "_atomic_write", fails_second)
+        out = tmp_path / "new" / "out"
+        cfg = cw_config(tmp_path)
+        assert main(["cw", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
 
     def test_set_overrides(self, tmp_path):
         cfg = cw_config(tmp_path)

@@ -308,6 +308,26 @@ class TestSolveBvpProperties:
         assert abs(turned.transmission - base.transmission) <= 1e-10
         assert abs(turned.reflection - np.exp(-1j * phi) * base.reflection) <= 1e-10
 
+    @given(
+        d_b=st.floats(min_value=0.2, max_value=5.0),
+        x_frac=st.floats(min_value=1.0 / 3.0, max_value=2.0 / 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_tends_to_cw_closed_form(self, d_b, x_frac, sign):
+        # the gap is linear in omega: |dR| grows to ~22 |omega| at d_b = 5 with
+        # the gate at 2L/3, and |dT| stays near 6 |omega| at every d_b, about
+        # the free phase omega L / c of this L = 6 z_b medium
+        omega = sign * 1e-3
+        length = 6.0
+        config = make_config(d_b, L=length)
+        x = x_frac * length
+        res = solve_bvp(omega, x, config)
+        closed = cw_analytic(x, config)
+        bound = 5.0 * abs(omega) * (2.0 + d_b)
+        assert abs(res.reflection - closed.reflection) <= bound
+        assert abs(res.transmission - closed.transmission) <= bound
+
 
 class TestBulkCoefficients:
     def test_frozen_depth_table(self):
