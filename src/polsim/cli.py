@@ -118,8 +118,8 @@ def _number_list(params: dict, key: str) -> list[float]:
 
 
 def _grid(params: dict, name: str, n_key: str, positive: bool = False) -> np.ndarray:
-    lo = float(params[f"{name}_min"])
-    hi = float(params[f"{name}_max"])
+    lo = _number(params, f"{name}_min", "task_params")
+    hi = _number(params, f"{name}_max", "task_params")
     n = _integer(params, n_key, minimum=2)
     if not lo < hi or (positive and lo <= 0.0):
         bound = "0 < " if positive else ""
@@ -175,18 +175,47 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+# rows rendered per "%" operation; bounds the temporaries of a large table
+_CSV_BLOCK_ROWS = 4096
 
 
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], columns) -> str:
+    """CSV text of a table given as equal-length columns.
+
+    A numeric array column is written with ``%.17g``, which renders each
+    value as ``format(float(v), ".17g")`` does and round-trips doubles.  Any
+    other column is a sequence of ``str`` labels, numbers (written the same
+    way) and ``None`` (an empty cell).  Each block of rows is rendered by one
+    ``%`` operation.
+    """
+    specs = []
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+            specs.append("%.17g")
+            table[:, j] = column.astype(float)
+        else:
+            specs.append("%s")
+            table[:, j] = [
+                "" if v is None else v if isinstance(v, str) else format(float(v), ".17g")
+                for v in column
+            ]
+    row = ",".join(specs)
+    parts = [",".join(header) + "\n"]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        parts.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()) + "\n")
+    return "".join(parts)
+
+
+def _magnitude(z):
+    """``abs(z)`` and ``abs(z) ** 2`` of a complex array, rounded as Python does.
+
+    ``np.hypot`` is the ``hypot`` that ``abs(complex)`` calls, and
+    ``np.float_power`` calls ``pow`` as ``float ** 2`` does.
+    """
+    a = np.hypot(z.real, z.imag)
+    return a, np.float_power(a, 2.0)
 
 
 def _json_text(payload) -> str:
@@ -229,18 +258,19 @@ def _run_spectrum(cfg, scales, params):
     regime = params["regime"]
     if regime not in REGIMES:
         raise SchemaError(f"task_params.regime must be one of {REGIMES}, got {regime!r}")
-    kmax = float(params["kmax_labs"])
+    kmax = _number(params, "kmax_labs", "task_params")
     n_k = _integer(params, "n_k", minimum=3)
     branches = spectrum(default_k_grid(cfg, kmax_labs=kmax, n=n_k), regime, cfg)
-    rows = []
-    for branch in branches:
-        for i, k in enumerate(branch.k_samples):
-            frac_fwd, frac_bwd, frac_matter = composition(branch.vectors[i])
-            rows.append((
-                branch.branch_id, branch.kind, k,
-                branch.omega[i].real, branch.omega[i].imag,
-                frac_fwd, frac_bwd, frac_matter,
-            ))
+    sizes = [branch.k_samples.size for branch in branches]
+    omega = np.concatenate([branch.omega for branch in branches])
+    columns = [
+        np.repeat([branch.branch_id for branch in branches], sizes),
+        np.repeat([branch.kind for branch in branches], sizes),
+        np.concatenate([branch.k_samples for branch in branches]),
+        omega.real,
+        omega.imag,
+        *composition(np.concatenate([branch.vectors for branch in branches])),
+    ]
     header = [
         "branch_id (index)", "kind (dark|bright)", "k_labs (1/l_abs)",
         "re_omega (gamma)", "im_omega (gamma)",
@@ -249,15 +279,13 @@ def _run_spectrum(cfg, scales, params):
     ]
     n_dark = sum(1 for b in branches if b.kind == "dark")
     extras = {"regime": regime, "n_branches": len(branches), "n_dark": n_dark}
-    return {"spectrum.csv": _csv_text(header, rows)}, extras
+    return {"spectrum.csv": _csv_text(header, columns)}, extras
 
 
 def _run_t0(cfg, scales, params):
     result = t0_spectrum(_grid(params, "omega", "n_omega"), cfg, scales)
-    rows = [
-        (w, t.real, t.imag, abs(t), abs(t) ** 2, r.real, r.imag, abs(r), abs(r) ** 2)
-        for w, t, r in zip(result.omega, result.transmission, result.reflection)
-    ]
+    t, r = result.transmission, result.reflection
+    columns = [result.omega, t.real, t.imag, *_magnitude(t), r.real, r.imag, *_magnitude(r)]
     header = [
         "omega (rad/s)",
         "re_T0 (amplitude)", "im_T0 (amplitude)", "abs_T0 (amplitude)",
@@ -273,19 +301,17 @@ def _run_t0(cfg, scales, params):
             "predicted (rad/s)": scales.delta_omega0,
             "rel_error": abs(fitted - scales.delta_omega0) / scales.delta_omega0,
         }
-    return {"t0.csv": _csv_text(header, rows)}, extras
+    return {"t0.csv": _csv_text(header, columns)}, extras
 
 
 def _run_propagate(cfg, scales, params):
-    omega = float(params["omega"])
+    omega = _number(params, "omega", "task_params")
     result = solve_bvp(omega, cfg.x_gate, cfg, scales=scales, cw=(omega == 0.0))
-    field = result.field
-    rows = [
-        (
-            z, er.real, er.imag, abs(er), abs(er) ** 2,
-            el.real, el.imag, abs(el), abs(el) ** 2,
-        )
-        for z, er, el in zip(field.z, field.e_right, field.e_left)
+    er, el = result.field.e_right, result.field.e_left
+    columns = [
+        result.field.z,
+        er.real, er.imag, *_magnitude(er),
+        el.real, el.imag, *_magnitude(el),
     ]
     header = [
         "z (m)",
@@ -304,24 +330,26 @@ def _run_propagate(cfg, scales, params):
         "richardson_error": result.richardson_error,
         "segments": result.segments,
     }
-    return {"propagate.csv": _csv_text(header, rows)}, extras
+    return {"propagate.csv": _csv_text(header, columns)}, extras
 
 
 def _run_cw(cfg, scales, params):
-    rows = []
-    for d_b in _grid(params, "d_b", "n_db", positive=True):
-        t, r, loss = cw_bulk_coefficients(float(d_b), cfg.phi)
-        rows.append((
-            d_b, abs(t), abs(t) ** 2, abs(r), abs(r) ** 2,
-            math.atan2(r.imag, r.real), loss, blockade_loss_baseline(float(d_b)),
-        ))
+    dbs = _grid(params, "d_b", "n_db", positive=True)
+    t, r, loss = cw_bulk_coefficients(dbs, cfg.phi)
+    columns = [
+        dbs, *_magnitude(t), *_magnitude(r),
+        # math.atan2, as cmath.phase: the SIMD loops of np.arctan2 round
+        # some values differently
+        np.frompyfunc(math.atan2, 2, 1)(r.imag, r.real).astype(float),
+        loss, blockade_loss_baseline(dbs),
+    ]
     header = [
         "d_b (dimensionless)",
         "abs_T1 (amplitude)", "abs_T1_sq (power)",
         "abs_R1 (amplitude)", "abs_R1_sq (power)", "arg_R1 (rad)",
         "loss_A (fraction)", "blockade_loss_baseline (fraction)",
     ]
-    return {"cw.csv": _csv_text(header, rows)}, {}
+    return {"cw.csv": _csv_text(header, columns)}, {}
 
 
 def _run_spinwave(cfg, scales, params):
@@ -330,9 +358,8 @@ def _run_spinwave(cfg, scales, params):
     evolved = evolve_cw(rho0, cfg, scales)
 
     def matrix_csv(matrix):
-        header = ["x\\y (m)"] + [_fmt(y) for y in evolved.grid]
-        rows = [(x, *row) for x, row in zip(evolved.grid, matrix)]
-        return _csv_text(header, rows)
+        header = ["x\\y (m)"] + [format(y, ".17g") for y in evolved.grid.tolist()]
+        return _csv_text(header, [evolved.grid, *matrix.T])
 
     supported = np.abs(rho0.rho) > 0
     ratio = np.ones_like(rho0.rho, dtype=float)
@@ -359,18 +386,19 @@ def _run_fidelity(cfg, scales, params):
     omega_grid = None
     if params["durations"] is not None:
         durations = tuple(_number_list(params, "durations"))
+        if not all(math.isfinite(d) and d > 0.0 for d in durations):
+            raise SchemaError("task_params.durations must be positive and finite")
         for key in ("omega_min", "omega_max", "n_omega"):
             if params[key] is None:
                 raise SchemaError(f"task_params.{key} is required when durations are given")
         omega_grid = _grid(params, "omega", "n_omega")
-    rows = []
-    for d_b in map(float, dbs):
-        f = switch_fidelities(d_b, cfg.phi)
-        masked = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
-        rows.append((
-            d_b, f.classical, f.quantum, f.gate, masked,
-            blockade_loss_baseline(d_b),
-        ))
+    columns = [
+        dbs,
+        *np.array([switch_fidelities(d_b, cfg.phi) for d_b in dbs.tolist()]).T,
+        [blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
+         for d_b in dbs.tolist()],
+        blockade_loss_baseline(dbs),
+    ]
     header = [
         "d_b (dimensionless)",
         "f_classical_switch (fidelity)", "f_quantum_switch (fidelity)",
@@ -382,15 +410,15 @@ def _run_fidelity(cfg, scales, params):
         cfg, durations=durations, omega_grid=omega_grid, n_samples=n_samples
     )
     payload = dataclasses.asdict(report)
-    payload["f_pulse"] = {_fmt(k): v for k, v in report.f_pulse.items()}
+    payload["f_pulse"] = {format(k, ".17g"): v for k, v in report.f_pulse.items()}
     artifacts = {
-        "fidelity.csv": _csv_text(header, rows),
+        "fidelity.csv": _csv_text(header, columns),
         "fidelity_report.json": _json_text(payload),
     }
     if durations:
-        pulse_rows = sorted(report.f_pulse.items())
         artifacts["fidelity_pulse.csv"] = _csv_text(
-            ["duration (s)", "fidelity (dimensionless)"], pulse_rows
+            ["duration (s)", "fidelity (dimensionless)"],
+            list(np.array(sorted(report.f_pulse.items())).T),
         )
     return artifacts, {"operating_point_d_b": scales.d_b}
 
@@ -407,13 +435,13 @@ def _run_scan(cfg, scales, params):
             f"task_params.observable must be one of {_SCAN_OBSERVABLES}, got {observable!r}"
         )
     values = _number_list(params, "values")
+    rel_window = _number(params, "rel_window", "task_params")
+    n_omega = _integer(params, "n_omega")
 
     if observable == "transparency_width":
         def one(value):
             sub = dataclasses.replace(cfg, **{parameter: value})
-            fit = transparency_width_study(
-                sub, rel_window=float(params["rel_window"]), n=int(params["n_omega"])
-            )
+            fit = transparency_width_study(sub, rel_window=rel_window, n=n_omega)
             return (value, fit.fitted, fit.predicted, fit.rel_error)
 
         header = [
@@ -436,9 +464,9 @@ def _run_scan(cfg, scales, params):
             "abs_R1 (amplitude)", "abs_R1_sq (power)", "loss_A (fraction)",
         ]
 
-    rows = [one(value) for value in values]
+    columns = [np.array(c) for c in zip(*map(one, values))]
     extras = {"parameter": parameter, "observable": observable}
-    return {"scan.csv": _csv_text(header, rows)}, extras
+    return {"scan.csv": _csv_text(header, columns)}, extras
 
 
 _RUNNERS = {

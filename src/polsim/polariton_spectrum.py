@@ -228,14 +228,22 @@ def spectrum(
     return branches
 
 
-def composition(eigenvector: np.ndarray) -> tuple[float, float, float]:
-    """Weight fractions (photon_right, photon_left, atomic) of a polariton."""
+def composition(eigenvector: np.ndarray):
+    """Weight fractions (photon_right, photon_left, atomic) of a polariton.
+
+    ``eigenvector`` is one vector or a stack of them along the last axis;
+    for a stack each fraction is an array over the leading axes.
+    """
     v = np.asarray(eigenvector, dtype=np.complex128)
-    norm2 = float(np.vdot(v, v).real)
-    if norm2 == 0.0:
+    # sum of |v|**2 by the BLAS dot product that np.vdot(v, v) uses
+    norm2 = (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
+    if np.any(norm2 == 0.0):
         raise ValueError("eigenvector must be nonzero")
-    p = np.abs(v) ** 2 / norm2
-    return float(p[0]), float(p[1]), float(np.sum(p[2:]))
+    p = np.abs(v) ** 2 / norm2[..., None]
+    fractions = p[..., 0], p[..., 1], np.sum(p[..., 2:], axis=-1)
+    if v.ndim == 1:
+        return tuple(float(f) for f in fractions)
+    return fractions
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core_model import DerivedScales, PhysicalConfig, derive_scales
 from .errors import (
@@ -145,20 +144,22 @@ def propagation_matrix(z, x, omega, config, scales=None, cw=False):
     if scales is None:
         scales = derive_scales(config)
     dz = np.asarray(z, dtype=float) - x
-    ephi = cmath.exp(1j * config.phi)
-    m = np.empty(dz.shape + (2, 2), dtype=np.complex128)
     if cw:
         k = chi0_cw(dz, scales)
-        m[..., 0, 0] = k
-        m[..., 0, 1] = -k * ephi
-        m[..., 1, 0] = k * ephi.conjugate()
-        m[..., 1, 1] = -k
-    else:
-        chi = susceptibilities(dz, omega, config, scales)
-        m[..., 0, 0] = chi.chi_r
-        m[..., 0, 1] = chi.chi_c * ephi
-        m[..., 1, 0] = -chi.chi_c * ephi.conjugate()
-        m[..., 1, 1] = chi.chi_l
+        return _coefficient_matrix(k, -k, -k, config.phi)
+    chi = susceptibilities(dz, omega, config, scales)
+    return _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
+
+
+def _coefficient_matrix(chi_r, chi_l, chi_c, phi):
+    """``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``, shape ``(..., 2, 2)``."""
+    ephi = cmath.exp(1j * phi)
+    chi_r, chi_l, chi_c = np.broadcast_arrays(chi_r, chi_l, chi_c)
+    m = np.empty(chi_r.shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0] = chi_r
+    m[..., 0, 1] = chi_c * ephi
+    m[..., 1, 0] = -chi_c * ephi.conjugate()
+    m[..., 1, 1] = chi_l
     return m
 
 
@@ -436,14 +437,34 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     """Deep-medium limit of the cw coefficients for blockade depth ``d_b``.
 
     Returns ``(transmission, reflection, absorption)`` with the kernel
-    integral saturated at its infinite-medium value.
+    integral saturated at its infinite-medium value.  ``d_b`` may be a
+    scalar or an array; the results match its shape.
     """
-    if d_b <= 0.0:
+    d_b = np.asarray(d_b, dtype=float)
+    if np.any(d_b <= 0.0):
         raise ValueError("d_b must be positive")
-    nu_total = NU_INFINITY * d_b
-    t = 1.0 / (1.0 + nu_total)
-    r = cmath.exp(-1j * phi) * nu_total / (1.0 + nu_total)
-    return complex(t), complex(r), 1.0 - abs(t) ** 2 - abs(r) ** 2
+    # With nu = NU_INFINITY d_b: t = 1 / (1 + nu), r = e^{-i phi} nu / (1 + nu),
+    # in real arithmetic rounded as Python's complex product and quotient
+    # (Smith's method; |Re(1 + nu)| > |Im(1 + nu)| since NU_INFINITY.real >
+    # NU_INFINITY.imag > 0), so array and scalar d_b give the same bits
+    nu_re = NU_INFINITY.real * d_b
+    nu_im = NU_INFINITY.imag * d_b
+    ratio = nu_im / (1.0 + nu_re)
+    denom = (1.0 + nu_re) + nu_im * ratio
+    e = cmath.exp(-1j * phi)
+    a_re = e.real * nu_re - e.imag * nu_im
+    a_im = e.real * nu_im + e.imag * nu_re
+    t = 1.0 / denom + 1j * (-ratio / denom)
+    r = (a_re + a_im * ratio) / denom + 1j * ((a_im - a_re * ratio) / denom)
+    loss = 1.0 - _abs2(t) - _abs2(r)
+    if d_b.ndim == 0:
+        return complex(t), complex(r), float(loss)
+    return t, r, loss
+
+
+def _abs2(z):
+    """``abs(z) ** 2`` rounded as Python computes it for a complex scalar."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
 @dataclass(frozen=True)
@@ -458,8 +479,20 @@ class T0Spectrum:
 def t0_spectrum(omega_grid, config, scales=None) -> T0Spectrum:
     """Scattering spectrum of the uniform medium with no stored gate.
 
-    The coefficients are z-independent, so the fundamental matrix is a
-    single exponential of the coefficient matrix times the medium length.
+    The coefficients are z-independent, so the fundamental matrix is
+    ``Phi = exp(A)`` with ``A = -1j M L`` (L in blockade radii), and a 2x2
+    exponential has a closed form.  With ``m = tr A / 2``,
+    ``d = (a00 - a11) / 2`` and ``s = sqrt(d**2 + a01 a10)`` (principal
+    root, Re s >= 0), ``Phi = e^m [cosh s + sinh(s) / s (A - m)]``.  The
+    boundary solve gives ``r = -Phi10 / Phi11`` and
+    ``t = det Phi / Phi11 = e^{2m} / Phi11``, evaluated as::
+
+        t = 2 s e^{m - s} / D,   r = a10 expm1(-2 s) / D,
+        D = (s - d) + (s + d) e^{-2 s} = 2 s + (s + d) expm1(-2 s)
+
+    for all frequencies at once.  Nothing overflows on deep media, and
+    nothing cancels: ``s - d`` is taken as ``a01 a10 / (s + d)`` when
+    ``|s + d| >= |s - d|``, and the expm1 form of D serves ``|s| < 1``.
     The medium is exactly transparent at zero frequency, which is inserted
     directly rather than taken as a limit.
     """
@@ -468,31 +501,35 @@ def t0_spectrum(omega_grid, config, scales=None) -> T0Spectrum:
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise GridError("omega_grid must be a nonempty one-dimensional array")
-    length_zb = config.L / scales.z_b
-    ephi = cmath.exp(1j * config.phi)
-    t = np.empty(omega_grid.size, dtype=np.complex128)
-    r = np.empty(omega_grid.size, dtype=np.complex128)
-    for i, w in enumerate(omega_grid):
-        if w == 0.0:
-            t[i] = 1.0
-            r[i] = 0.0
-            continue
-        chi = free_susceptibilities(float(w), config, scales)
-        a = -1j * np.array(
-            [
-                [chi.chi_r, chi.chi_c * ephi],
-                [-chi.chi_c * ephi.conjugate(), chi.chi_l],
-            ],
-            dtype=np.complex128,
+    live = omega_grid != 0.0
+    chi = free_susceptibilities(omega_grid[live], config, scales)
+    a = (-1j * config.L / scales.z_b) * _coefficient_matrix(
+        chi.chi_r, chi.chi_l, chi.chi_c, config.phi
+    )
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    m = 0.5 * (a00 + a11)
+    d = 0.5 * (a00 - a11)
+    a01_a10 = a01 * a10
+    s = np.sqrt(d * d + a01_a10)
+    s_plus_d = s + d
+    s_minus_d = s - d
+    aligned = np.abs(s_plus_d) >= np.abs(s_minus_d)
+    s_minus_d[aligned] = a01_a10[aligned] / s_plus_d[aligned]
+    em1 = np.expm1(-2.0 * s)
+    denom = np.where(
+        np.abs(s) < 1.0,
+        2.0 * s + s_plus_d * em1,
+        s_minus_d + s_plus_d * np.exp(-2.0 * s),
+    )
+    if np.any(denom == 0.0):
+        w = omega_grid[live][np.argmax(denom == 0.0)]
+        raise IllConditionedError(
+            f"gate-free boundary solve hit a vanishing pivot at omega={w!r}"
         )
-        phi_mat = scipy.linalg.expm(a * length_zb)
-        if phi_mat[1, 1] == 0.0:
-            raise IllConditionedError(
-                f"gate-free boundary solve hit a vanishing pivot at omega={w!r}"
-            )
-        ri = -phi_mat[1, 0] / phi_mat[1, 1]
-        r[i] = ri
-        t[i] = phi_mat[0, 0] + phi_mat[0, 1] * ri
+    t = np.ones(omega_grid.size, dtype=np.complex128)
+    r = np.zeros(omega_grid.size, dtype=np.complex128)
+    t[live] = 2.0 * s * np.exp(m - s) / denom
+    r[live] = a10 * em1 / denom
     return T0Spectrum(omega=omega_grid.copy(), transmission=t, reflection=r)
 
 

@@ -215,15 +215,18 @@ def evolve_cw(
     return evolved
 
 
-def blockade_loss_baseline(d_b: float) -> float:
+def blockade_loss_baseline(d_b):
     """Scattering loss of the fully dissipative two-level mechanism.
 
     ``1 - exp(-4 d_b)``: essentially complete extinction beyond d_b of a
     few, the benchmark the coherent-switching loss A is compared against.
+    ``d_b`` may be a scalar or an array; the result matches its shape.
     """
-    if d_b < 0.0:
-        raise ValueError(f"d_b must be nonnegative, got {d_b!r}")
-    return float(-np.expm1(-4.0 * d_b))
+    d_b = np.asarray(d_b, dtype=float)
+    if np.any(d_b < 0.0):
+        raise ValueError(f"d_b must be nonnegative, got {float(d_b.min())!r}")
+    loss = -np.expm1(-4.0 * d_b)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def retrieval_eta(dm: SpinWaveDensityMatrix) -> float:

@@ -56,26 +56,29 @@ class SusceptibilityTriple:
     chi_c: complex
 
 
-def xi(omega: float, config: PhysicalConfig) -> complex:
+def xi(omega, config: PhysicalConfig):
     """Single-pole response ``omega + 1j*gamma - Omega**2 / omega``.
 
-    Diverges as omega -> 0: resonant probe light is pushed into the dark
-    state and the perturbative inversion of the atomic response fails, which
-    is why the CW limit has its own closed form.
+    ``omega`` may be a scalar or an array.  Diverges as omega -> 0: resonant
+    probe light is pushed into the dark state and the perturbative inversion
+    of the atomic response fails, which is why the CW limit has its own
+    closed form.
     """
-    if omega == 0.0:
+    if np.any(np.equal(omega, 0.0)):
         raise SingularFrequencyError("xi is singular at omega = 0; use the CW path")
     return omega + 1j * config.gamma - config.Omega**2 / omega
 
 
 def _chi_arrays(V, omega, config, scales):
-    """Vectorized rescaled susceptibility triple for an array of vdW shifts.
+    """Vectorized rescaled susceptibility triple.
 
-    ``V`` may contain ``inf`` (fully blockaded points).  The formulas are
-    multiplied through by ``omega - V`` so that the crossing ``V == omega``
-    (where the bare detuned-leg term has a pole that cancels) stays finite.
+    ``V`` (van der Waals shifts, which may contain ``inf`` at fully
+    blockaded points) and ``omega`` are scalars or arrays that broadcast.
+    The formulas are multiplied through by ``omega - V`` so that the
+    crossing ``V == omega`` (where the bare detuned-leg term has a pole that
+    cancels) stays finite.
     """
-    if omega == 0.0:
+    if np.any(np.equal(omega, 0.0)):
         raise SingularFrequencyError(
             "finite-frequency susceptibilities are singular at omega = 0; "
             "use chi0_cw for the CW limit"
@@ -86,8 +89,11 @@ def _chi_arrays(V, omega, config, scales):
     om4_w2 = om2**2 / omega**2
     g2_c = config.G**2 / config.c
 
-    huge = ~np.isfinite(V) | (V > _V_HUGE_FACTOR * max(abs(omega), config.gamma))
+    huge = ~np.isfinite(V) | (V > _V_HUGE_FACTOR * np.maximum(np.abs(omega), config.gamma))
     w = np.where(huge, 0.0, omega - V)
+
+    def first(mask, values):
+        return np.broadcast_to(values, mask.shape).flat[int(np.argmax(mask))].item()
 
     # Denominator and numerators of the w-scaled form; on fully blockaded
     # points this reduces to w = 0 only accidentally, so they get the exact
@@ -95,12 +101,12 @@ def _chi_arrays(V, omega, config, scales):
     num_r = x * w - config.OmegaS**2
     denom = x * num_r - w * om4_w2
     scale = np.abs(x) * (np.abs(x * w) + config.OmegaS**2) + np.abs(w) * om4_w2
-    bad = np.abs(denom) <= _POLE_REL_TOL * scale
-    if np.any(bad & ~huge):
-        idx = int(np.argmax(bad & ~huge))
-        raise SusceptibilityPoleError(dz=None, omega=omega,
-                                      message=f"susceptibility pole at V={V.flat[idx]!r}, "
-                                              f"omega={omega!r}")
+    pole = (np.abs(denom) <= _POLE_REL_TOL * scale) & ~huge
+    if np.any(pole):
+        V_at, omega_at = first(pole, V), first(pole, omega)
+        raise SusceptibilityPoleError(dz=None, omega=omega_at,
+                                      message=f"susceptibility pole at V={V_at!r}, "
+                                              f"omega={omega_at!r}")
 
     with np.errstate(invalid="ignore", divide="ignore"):
         chi_r = -omega / config.c + g2_c * num_r / denom
@@ -111,8 +117,9 @@ def _chi_arrays(V, omega, config, scales):
         # V -> inf: the detuned leg is frozen out and the medium responds as
         # a plain two-photon ladder.
         d0 = x * x - om4_w2
-        if abs(d0) <= _POLE_REL_TOL * (abs(x) ** 2 + om4_w2):
-            raise SusceptibilityPoleError(dz=0.0, omega=omega)
+        pole = huge & (np.abs(d0) <= _POLE_REL_TOL * (np.abs(x) ** 2 + om4_w2))
+        if np.any(pole):
+            raise SusceptibilityPoleError(dz=0.0, omega=first(pole, omega))
         chi_r = np.where(huge, -omega / config.c + g2_c * x / d0, chi_r)
         chi_l = np.where(huge, omega / config.c - g2_c * x / d0, chi_l)
         chi_c = np.where(huge, g2_c * (om2 / omega) / d0, chi_c)
@@ -162,15 +169,21 @@ def susceptibilities(
 
 
 def free_susceptibilities(
-    omega: float,
+    omega,
     config: PhysicalConfig,
     scales: DerivedScales | None = None,
 ) -> SusceptibilityTriple:
-    """Susceptibilities of the gate-free medium (V identically zero)."""
+    """Susceptibilities of the gate-free medium (V identically zero).
+
+    ``omega`` may be a scalar or an array of nonzero frequencies; the triple
+    components match its shape.
+    """
     if scales is None:
         scales = derive_scales(config, allow_oversized_blockade=True)
-    chi_r, chi_l, chi_c = _chi_arrays(np.asarray(0.0), omega, config, scales)
-    return SusceptibilityTriple(complex(chi_r), complex(chi_l), complex(chi_c))
+    chi_r, chi_l, chi_c = _chi_arrays(0.0, omega, config, scales)
+    if np.ndim(omega) == 0:
+        return SusceptibilityTriple(complex(chi_r), complex(chi_l), complex(chi_c))
+    return SusceptibilityTriple(chi_r, chi_l, chi_c)
 
 
 def chi0_cw(dz, scales: DerivedScales):

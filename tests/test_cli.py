@@ -4,12 +4,15 @@ import csv
 import errno
 import itertools
 import json
+import math
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polsim.cli
+import polsim.fidelity
 from polsim.cli import main, run
 from polsim.errors import QuadratureError, SchemaError
 from polsim.propagation import cw_bulk_coefficients
@@ -18,6 +21,7 @@ PHYSICAL = {
     "G": 2.2360679774997896, "Omega": 1.0, "OmegaS": 1.0, "gamma": 1.0,
     "phi": 0.0, "c": 1.0, "C6": 1.0, "L": 24.0, "x_gate": 12.0,
 }
+WIDTH = dict(PHYSICAL, G=0.1, gamma=0.5, L=1250.0, x_gate=625.0)
 
 
 def write_config(tmp_path, name="config.json", **entries):
@@ -42,6 +46,42 @@ def read_manifest(outdir: Path) -> dict:
 def csv_rows(path: Path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def per_cell_csv(header, rows):
+    """The per-cell CSV writer that ``_csv_text`` replaced, as its reference."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        return format(float(value), ".17g")
+
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    def test_matches_per_cell_formatting(self):
+        rng = np.random.default_rng(7)
+        n = 5000  # more than one block of rows
+        special = [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-320, 1e-310, 1e308,
+            -1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0**53 + 2.0, 1e16, 123456789.0,
+        ]
+        floats = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        floats[: len(special)] = special
+        ids = rng.integers(-(2**40), 2**40, n)
+        labels = rng.choice(["dark", "bright", "x\\y"], n)
+        maybe = [None if i % 3 == 0 else v for i, v in enumerate(rng.uniform(-1, 1, n).tolist())]
+        maybe[1] = 7  # an int among the floats
+        columns = [floats, ids, labels, list(labels), maybe, rng.uniform(size=n)]
+        header = ["f (x)", "id", "kind", "kind again", "masked", "u"]
+        rows = list(zip(*(list(c) for c in columns)))
+        assert polsim.cli._csv_text(header, columns) == per_cell_csv(header, rows)
+        empty = [np.zeros(0), []]
+        assert polsim.cli._csv_text(["a", "b"], empty) == per_cell_csv(["a", "b"], [])
 
 
 class TestCwTask:
@@ -275,6 +315,43 @@ class TestSchemaAndExitCodes:
             )
             assert main(["fidelity", "--config", str(cfg)]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("task, physical, params, key", [
+        ("cw", PHYSICAL, {"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4}, "d_b_min"),
+        ("cw", PHYSICAL, {"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4}, "d_b_max"),
+        ("t0", PHYSICAL, {"omega_min": -1.0, "omega_max": 1.0, "n_omega": 5}, "omega_min"),
+        ("t0", PHYSICAL, {"omega_min": -1.0, "omega_max": 1.0, "n_omega": 5}, "omega_max"),
+        ("spectrum", PHYSICAL, {"regime": "free", "n_k": 5}, "kmax_labs"),
+        ("propagate", PHYSICAL, {"omega": 0.0}, "omega"),
+        ("scan", WIDTH, {"parameter": "OmegaS", "values": [1.0],
+                         "observable": "transparency_width"}, "rel_window"),
+        ("scan", WIDTH, {"parameter": "OmegaS", "values": [1.0],
+                         "observable": "transparency_width"}, "n_omega"),
+    ])
+    def test_non_numeric_task_param_exits_2(self, tmp_path, task, physical, params, key):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=physical, task=task,
+            task_params={**params, key: "abc"}, output_dir=str(out),
+        )
+        assert main([task, "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("durations", [[-1.0, 5.0], [0.0, 1.0], [1.0, math.inf], [math.nan]])
+    def test_fidelity_rejects_bad_durations_up_front(self, tmp_path, monkeypatch, durations):
+        def never(*args, **kwargs):
+            raise AssertionError("evolve_cw ran before durations were checked")
+
+        monkeypatch.setattr(polsim.fidelity, "evolve_cw", never)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=dict(PHYSICAL, L=5.0, x_gate=2.5), task="fidelity",
+            task_params={"d_b_min": 1.0, "d_b_max": 10.0, "n_db": 10, "durations": durations,
+                         "omega_min": -1.0, "omega_max": 1.0, "n_omega": 5},
+            output_dir=str(out),
+        )
+        assert main(["fidelity", "--config", str(cfg)]) == 2
+        assert not out.exists()
 
     def test_fidelity_report_failure_exits_3_without_artifacts(self, tmp_path, monkeypatch):
         def stalls(*args, **kwargs):

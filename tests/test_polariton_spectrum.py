@@ -206,6 +206,7 @@ class TestComposition:
         for b in branches:
             fracs = np.array([composition(v) for v in b.vectors])
             assert np.allclose(fracs.sum(axis=1), 1.0, atol=1e-12)
+            assert np.array_equal(np.column_stack(composition(b.vectors)), fracs)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

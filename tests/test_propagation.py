@@ -7,8 +7,10 @@ along the medium, over a sweep of depths and gate positions.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -358,9 +360,17 @@ class TestBulkCoefficients:
         _, r0, _ = cw_bulk_coefficients(5.0, phi=0.0)
         assert r5 == pytest.approx(np.exp(-0.9j) * r0, rel=1e-12)
 
+    def test_array_input_matches_scalars(self):
+        d_b = np.linspace(0.01, 100.0, 501)
+        t, r, a = cw_bulk_coefficients(d_b, phi=0.9)
+        scalars = [cw_bulk_coefficients(float(d), phi=0.9) for d in d_b]
+        assert list(zip(t.tolist(), r.tolist(), a.tolist())) == scalars
+
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(ValueError):
             cw_bulk_coefficients(0.0)
+        with pytest.raises(ValueError):
+            cw_bulk_coefficients(np.array([1.0, -1.0]))
 
 
 class TestT0Spectrum:
@@ -376,10 +386,13 @@ class TestT0Spectrum:
         assert np.max(np.abs(mags - mags[::-1])) < 1e-8
 
     def test_passivity(self):
+        # the unit medium is 24 blockade radii deep: |T0| falls to 3e-39 near
+        # omega = gamma, where T0 must not come from a cancelling sum
         cfg = make_config(5.0)
-        spec = t0_spectrum(np.linspace(-0.5, 0.5, 21), cfg)
-        power = np.abs(spec.transmission) ** 2 + np.abs(spec.reflection) ** 2
-        assert np.all(power <= 1.0 + 1e-10)
+        for grid in (np.linspace(-0.5, 0.5, 21), np.linspace(-2.0, 2.0, 2001)):
+            spec = t0_spectrum(grid, cfg)
+            power = np.abs(spec.transmission) ** 2 + np.abs(spec.reflection) ** 2
+            assert np.all(power <= 1.0 + 1e-10)
 
     def test_single_ladder_limit_when_second_leg_dominates(self):
         # huge OmegaS freezes out the backward mode; |T| follows the
@@ -418,6 +431,45 @@ class TestT0Spectrum:
             t = phi[0, 0] + phi[0, 1] * r
             assert t == pytest.approx(t_ref, rel=1e-8)
             assert r == pytest.approx(r_ref, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 2.0])
+    def test_matches_mpmath_oracle_on_deep_medium(self, omega):
+        # exp(A L) in 160 digits: T = Phi00 + Phi01 r cancels by up to ~95
+        # digits on this medium, so the oracle carries enough to spare
+        cfg = make_config(5.0)
+        scales = derive_scales(cfg)
+        spec = t0_spectrum(np.array([omega]), cfg, scales)
+        chi = free_susceptibilities(omega, cfg, scales)
+        with mpmath.workdps(160):
+            a = -1j * mpmath.matrix([
+                [mpmath.mpc(chi.chi_r), mpmath.mpc(chi.chi_c)],
+                [-mpmath.mpc(chi.chi_c), mpmath.mpc(chi.chi_l)],
+            ])
+            phi = mpmath.expm(a * mpmath.mpf(cfg.L / scales.z_b))
+            r = -phi[1, 0] / phi[1, 1]
+            t = complex(phi[0, 0] + phi[0, 1] * r)
+            r = complex(r)
+        assert abs(spec.transmission[0] - t) <= 1e-12 * abs(t)
+        assert abs(spec.reflection[0] - r) <= 1e-14
+
+    def test_matches_expm_on_shallow_medium(self):
+        # optical depth low enough for T = Phi00 + Phi01 r in double precision
+        cfg = make_config(1.0, L=6.0, phi=0.4)
+        scales = derive_scales(cfg)
+        ws = np.array([-1.0, -0.2, 0.05, 0.3, 1.5])
+        spec = t0_spectrum(ws, cfg, scales)
+        ephi = np.exp(1j * cfg.phi)
+        for w, t_ref, r_ref in zip(ws, spec.transmission, spec.reflection):
+            chi = free_susceptibilities(w, cfg, scales)
+            m = np.array([
+                [chi.chi_r, chi.chi_c * ephi],
+                [-chi.chi_c * np.conj(ephi), chi.chi_l],
+            ])
+            phi = scipy.linalg.expm(-1j * m * cfg.L / scales.z_b)
+            r = -phi[1, 0] / phi[1, 1]
+            t = phi[0, 0] + phi[0, 1] * r
+            assert abs(t_ref - t) <= 1e-12 * abs(t)
+            assert abs(r_ref - r) <= 1e-12 * abs(r)
 
     def test_grid_validation(self):
         with pytest.raises(GridError):

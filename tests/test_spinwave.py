@@ -194,10 +194,16 @@ class TestBlockadeLossBaseline:
             val = blockade_loss_baseline(float(d_b))
             assert 0.0 <= val <= 1.0
         assert blockade_loss_baseline(5.0) < 1.0
+        grid = np.linspace(0.0, 100.0, 37)
+        assert blockade_loss_baseline(grid).tolist() == [
+            blockade_loss_baseline(float(d_b)) for d_b in grid
+        ]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             blockade_loss_baseline(-0.5)
+        with pytest.raises(ValueError):
+            blockade_loss_baseline(np.array([1.0, -0.5]))
 
 
 class TestRetrievalEta:

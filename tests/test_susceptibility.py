@@ -123,6 +123,19 @@ class TestSusceptibilities:
             assert abs(b) < abs(a)
         assert abs(t2.chi_r) < 1e-4 * SCALES.d_b
 
+    def test_free_susceptibilities_broadcast_over_omega(self):
+        omegas = np.array([-3.0, -0.3, 1e-6, 0.5, 7.0])
+        arrays = free_susceptibilities(omegas, CFG, SCALES)
+        for i, omega in enumerate(omegas):
+            scalar = free_susceptibilities(float(omega), CFG, SCALES)
+            for a, b in zip(
+                (arrays.chi_r, arrays.chi_l, arrays.chi_c),
+                (scalar.chi_r, scalar.chi_l, scalar.chi_c),
+            ):
+                assert abs(a[i] - b) <= 1e-14 * abs(b)
+        with pytest.raises(SingularFrequencyError):
+            free_susceptibilities(np.array([0.5, 0.0]), CFG, SCALES)
+
     def test_cross_coupling_alive_at_finite_detuning_without_gate(self):
         t = free_susceptibilities(0.5, CFG, SCALES)
         assert abs(t.chi_c) > 1e-3
