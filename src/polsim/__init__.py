@@ -43,7 +43,6 @@ from .fidelity import (
 )
 from .polariton_spectrum import (
     REGIMES,
-    BlochMatrix,
     DispersionFit,
     PolaritonBranch,
     build_bloch_matrix,
@@ -54,7 +53,6 @@ from .polariton_spectrum import (
     spectrum,
 )
 from .propagation import (
-    GridSpec,
     ScatterResult,
     T0Spectrum,
     TwoModeField,
@@ -81,7 +79,6 @@ from .susceptibility import (
     chi0_cw,
     free_susceptibilities,
     nu,
-    nu_infinity,
     susceptibilities,
     xi,
 )
@@ -95,13 +92,13 @@ __all__ = [
     "gaussian_pulse_spectrum", "trapezoid_weights", "vdw_potential",
     # susceptibility
     "SusceptibilityTriple", "susceptibilities", "free_susceptibilities",
-    "xi", "chi0_cw", "nu", "nu_infinity", "NU_INFINITY",
+    "xi", "chi0_cw", "nu", "NU_INFINITY",
     # polariton spectrum
-    "REGIMES", "BlochMatrix", "PolaritonBranch", "DispersionFit",
+    "REGIMES", "PolaritonBranch", "DispersionFit",
     "build_bloch_matrix", "dark_polariton_vectors", "default_k_grid",
     "spectrum", "composition", "fit_dispersion",
     # propagation
-    "GridSpec", "TwoModeField", "ScatterResult", "T0Spectrum", "WidthFit",
+    "TwoModeField", "ScatterResult", "T0Spectrum", "WidthFit",
     "propagation_matrix", "solve_bvp", "cw_analytic", "cw_bulk_coefficients",
     "t0_spectrum", "fitted_transparency_width", "transparency_width_study",
     # spinwave

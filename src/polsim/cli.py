@@ -436,7 +436,9 @@ def _run_scan(cfg, scales, params):
         )
     values = _number_list(params, "values")
     rel_window = _number(params, "rel_window", "task_params")
-    n_omega = _integer(params, "n_omega")
+    if not 0.0 < rel_window <= 1.0:
+        raise SchemaError(f"task_params.rel_window must be in (0, 1], got {rel_window!r}")
+    n_omega = _integer(params, "n_omega", minimum=7)
 
     if observable == "transparency_width":
         def one(value):

@@ -24,7 +24,7 @@ from .core_model import (
     gaussian_pulse_spectrum,
 )
 from .errors import GridError
-from .propagation import GridSpec, cw_analytic, cw_bulk_coefficients, solve_bvp
+from .propagation import cw_analytic, cw_bulk_coefficients, solve_bvp
 from .spinwave import evolve_cw, initial_sine_mode, retrieval_eta
 
 __all__ = [
@@ -89,7 +89,6 @@ def reflection_spectrum(
     omega_grid: np.ndarray,
     config: PhysicalConfig,
     scales: DerivedScales | None = None,
-    grid_spec: GridSpec | None = None,
 ) -> np.ndarray:
     """Gate-present reflection coefficient R1(omega) on a frequency grid.
 
@@ -106,8 +105,7 @@ def reflection_spectrum(
             out[i] = cw_analytic(config.x_gate, config, scales=scales).reflection
         else:
             out[i] = solve_bvp(
-                float(omega), config.x_gate, config,
-                grid_spec=grid_spec, scales=scales,
+                float(omega), config.x_gate, config, scales=scales
             ).reflection
     return out
 

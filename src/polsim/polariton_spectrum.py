@@ -26,7 +26,7 @@ from .core_model import PhysicalConfig, derive_scales
 from .errors import FitWindowError, FitWindowWarning, GridError
 
 __all__ = [
-    "BlochMatrix",
+    "REGIMES",
     "PolaritonBranch",
     "DispersionFit",
     "build_bloch_matrix",
@@ -49,54 +49,36 @@ _DARK_TOL = 1e-12
 _FIT_WINDOW = 0.01
 
 
-@dataclass(frozen=True)
-class BlochMatrix:
-    """Single-excitation Bloch matrix at one momentum."""
-
-    k: float
-    regime: str
-    gate_shift: float
-    entries: np.ndarray
-
-
-def build_bloch_matrix(
-    k: float,
-    regime: str,
-    config: PhysicalConfig,
-    gate_shift: float = 0.0,
-) -> BlochMatrix:
+def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     """Bloch matrix at momentum ``k`` (inverse-length units of the config).
 
     ``regime="free"`` returns the 6x6 matrix over
     (E_right, E_left, P_right, P_left, D, S); ``regime="blockaded"`` deletes
-    the S row and column (the exact infinite-shift limit).  A finite local
-    van der Waals shift can be placed on the S diagonal with ``gate_shift``
-    (free regime only), which is how the blockaded limit is cross-checked.
+    the S row and column (the exact infinite-shift limit).  ``k`` may be a
+    scalar or an array; the result has shape ``k.shape + (dim, dim)``.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if not np.isfinite(k):
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
         raise ValueError(f"k must be finite, got {k!r}")
-    if gate_shift != 0.0 and regime != "free":
-        raise ValueError("gate_shift only applies to the free (six-state) basis")
 
     G, Om, OmS = config.G, config.Omega, config.OmegaS
     ck = config.c * k
     ephi = cmath.exp(1j * config.phi)
-    m = np.zeros((6, 6), dtype=np.complex128)
-    m[0, 0] = ck
-    m[1, 1] = -ck
-    m[2, 2] = m[3, 3] = -1j * config.gamma
-    m[0, 2] = m[2, 0] = G
-    m[1, 3] = m[3, 1] = G
-    m[2, 4] = m[4, 2] = Om
-    m[3, 4] = Om * ephi
-    m[4, 3] = Om * ephi.conjugate()
-    m[3, 5] = m[5, 3] = OmS
-    m[5, 5] = gate_shift
+    m = np.zeros(k.shape + (6, 6), dtype=np.complex128)
+    m[..., 0, 0] = ck
+    m[..., 1, 1] = -ck
+    m[..., 2, 2] = m[..., 3, 3] = -1j * config.gamma
+    m[..., 0, 2] = m[..., 2, 0] = G
+    m[..., 1, 3] = m[..., 3, 1] = G
+    m[..., 2, 4] = m[..., 4, 2] = Om
+    m[..., 3, 4] = Om * ephi
+    m[..., 4, 3] = Om * ephi.conjugate()
+    m[..., 3, 5] = m[..., 5, 3] = OmS
     if regime == "blockaded":
-        m = m[:5, :5]
-    return BlochMatrix(k=k, regime=regime, gate_shift=gate_shift, entries=m)
+        m = m[..., :5, :5]
+    return m
 
 
 def dark_polariton_vectors(regime: str, config: PhysicalConfig) -> list[np.ndarray]:
@@ -173,20 +155,20 @@ def spectrum(
     i0 = _validate_k_grid(k_grid)
     scales = derive_scales(config, allow_oversized_blockade=True)
     gamma = config.gamma
-    dim = 6 if regime == "free" else 5
+    all_vals, all_vecs = np.linalg.eig(build_bloch_matrix(k_grid, regime, config))
 
-    n_k = k_grid.size
+    n_k, dim = all_vals.shape
     omegas = np.empty((n_k, dim), dtype=np.complex128)
     vectors = np.empty((n_k, dim, dim), dtype=np.complex128)
 
-    vals, vecs = np.linalg.eig(build_bloch_matrix(k_grid[i0], regime, config).entries)
+    vals, vecs = all_vals[i0], all_vecs[i0]
     order = np.lexsort((vals.real, np.abs(vals)))
     omegas[i0] = vals[order] / gamma
     vectors[i0] = (vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)).T
 
     def step(i_prev, i):
-        vals, vecs = np.linalg.eig(build_bloch_matrix(k_grid[i], regime, config).entries)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        vals = all_vals[i]
+        vecs = all_vecs[i] / np.linalg.norm(all_vecs[i], axis=0)
         overlap = np.abs(vectors[i_prev].conj() @ vecs)
         row, col = linear_sum_assignment(-overlap)
         perm = np.empty(dim, dtype=int)

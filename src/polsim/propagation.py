@@ -45,7 +45,6 @@ from .susceptibility import (
 )
 
 __all__ = [
-    "GridSpec",
     "TwoModeField",
     "ScatterResult",
     "T0Spectrum",
@@ -62,42 +61,20 @@ __all__ = [
 # Multiple-shooting segment count; the block system stays square for any value.
 _N_SEGMENTS = 32
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Step-size policy for the boundary-value integrator.
-
-    Steps are in units of the blockade radius: ``fine_step`` within
-    ``window`` blockade radii of the gate, ``coarse_step`` elsewhere.
-    The solve is accepted once halving every step changes the fundamental
-    matrix by less than ``richardson_tol`` (relative Frobenius), with at
-    most ``max_refinements`` halvings.  ``cond_limit`` bounds the condition
-    number tolerated before switching to multiple shooting.
-    """
-
-    fine_step: float = 1.0 / 400.0
-    coarse_step: float = 1.0 / 50.0
-    window: float = 3.0
-    richardson_tol: float = 1e-8
-    max_refinements: int = 3
-    cond_limit: float = 1e12
-
-    def __post_init__(self):
-        if not 0.0 < self.fine_step <= self.coarse_step:
-            raise GridError("need 0 < fine_step <= coarse_step")
-        if self.fine_step > 1.0 / 200.0:
-            raise GridError(
-                "fine_step must resolve the blockade sphere with at least "
-                "200 steps per blockade radius"
-            )
-        if self.window < 0.0:
-            raise GridError("window must be nonnegative")
-        if self.richardson_tol <= 0.0:
-            raise GridError("richardson_tol must be positive")
-        if self.max_refinements < 1:
-            raise GridError("max_refinements must be at least 1")
-        if self.cond_limit <= 1.0:
-            raise GridError("cond_limit must exceed 1")
+# Step policy of the boundary-value integrator, in blockade radii: fine steps
+# within _WINDOW of the gate (at least 200 per blockade radius resolve the
+# blockade sphere), coarse steps elsewhere.
+_FINE_STEP = 1.0 / 400.0
+_COARSE_STEP = 1.0 / 50.0
+_WINDOW = 3.0
+# A solve is accepted once halving every step changes the fundamental matrix
+# by less than _RICHARDSON_TOL (relative Frobenius), with at most
+# _MAX_REFINEMENTS halvings.
+_RICHARDSON_TOL = 1e-8
+_MAX_REFINEMENTS = 3
+# Condition number of the fundamental matrix above which the solve switches
+# to multiple shooting.
+_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -107,8 +84,6 @@ class TwoModeField:
     z: np.ndarray
     e_right: np.ndarray
     e_left: np.ndarray
-    omega: float
-    x_gate: float | None
 
 
 @dataclass(frozen=True)
@@ -163,14 +138,14 @@ def _coefficient_matrix(chi_r, chi_l, chi_c, phi):
     return m
 
 
-def _build_nodes(length_zb: float, x_zb: float, spec: GridSpec) -> np.ndarray:
-    lo = min(max(x_zb - spec.window, 0.0), length_zb)
-    hi = min(max(x_zb + spec.window, 0.0), length_zb)
+def _build_nodes(length_zb: float, x_zb: float) -> np.ndarray:
+    lo = min(max(x_zb - _WINDOW, 0.0), length_zb)
+    hi = min(max(x_zb + _WINDOW, 0.0), length_zb)
     pieces = []
     for a, b, step in (
-        (0.0, lo, spec.coarse_step),
-        (lo, hi, spec.fine_step),
-        (hi, length_zb, spec.coarse_step),
+        (0.0, lo, _COARSE_STEP),
+        (lo, hi, _FINE_STEP),
+        (hi, length_zb, _COARSE_STEP),
     ):
         if b - a > 1e-12 * max(length_zb, 1.0):
             n = max(1, math.ceil((b - a) / step))
@@ -273,13 +248,7 @@ def _scatter_result(omega, x, t, r, nodes, psi, scales, err, segments):
         transmission=complex(t),
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        field=TwoModeField(
-            z=nodes * scales.z_b,
-            e_right=psi[:, 0],
-            e_left=psi[:, 1],
-            omega=float(omega),
-            x_gate=float(x),
-        ),
+        field=TwoModeField(z=nodes * scales.z_b, e_right=psi[:, 0], e_left=psi[:, 1]),
         richardson_error=err,
         segments=segments,
     )
@@ -325,14 +294,13 @@ def _multiple_shooting(nodes, updates, omega, x, scales, err):
     )
 
 
-def solve_bvp(omega, x, config, grid_spec=None, cw=False, scales=None):
+def solve_bvp(omega, x, config, cw=False, scales=None):
     """Scattering of a unit probe at frequency ``omega`` off a gate at ``x``.
 
     Boundary conditions: E_right(0) = 1 and E_left(L) = 0.  ``omega = 0``
     is refused unless ``cw=True``, which solves the regular zero-frequency
     problem instead (and demands ``omega = 0`` for honesty in the result).
     """
-    spec = grid_spec if grid_spec is not None else GridSpec()
     if scales is None:
         scales = derive_scales(config)
     if not 0.0 <= x <= config.L:
@@ -353,14 +321,14 @@ def solve_bvp(omega, x, config, grid_spec=None, cw=False, scales=None):
 
     # each level's nodes are the previous level's nodes and step midpoints,
     # so only the new midpoints are evaluated
-    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b, spec)
+    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b)
     a_nodes = coefficients(nodes)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     a_mid = coefficients(mid)
     updates = _rk4_updates(nodes, a_nodes, a_mid)
     phi = _tree_product(updates)
     err = math.inf
-    for _ in range(spec.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         nodes = _interleave(nodes, mid)
         a_nodes = _interleave(a_nodes, a_mid)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
@@ -371,17 +339,17 @@ def solve_bvp(omega, x, config, grid_spec=None, cw=False, scales=None):
             np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
         )
         phi = phi_f
-        if err <= spec.richardson_tol:
+        if err <= _RICHARDSON_TOL:
             break
     else:
         raise QuadratureError(
             f"step halving stalled at relative change {err:.3g} "
-            f"(tolerance {spec.richardson_tol:.3g})",
+            f"(tolerance {_RICHARDSON_TOL:.3g})",
             achieved=err,
         )
 
     cond = np.linalg.cond(phi.reshape(2, 2))
-    if not np.isfinite(cond) or cond > spec.cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         return _multiple_shooting(nodes, updates, omega, x, scales, err)
 
     if phi[3] == 0.0:
@@ -418,9 +386,7 @@ def cw_analytic(x, config, z=None, scales=None):
         nu_run = nu(z, x, scales)
         e_right = 1.0 - nu_run / denom
         e_left = cmath.exp(-1j * config.phi) * (nu_total - nu_run) / denom
-        field = TwoModeField(
-            z=z, e_right=e_right, e_left=e_left, omega=0.0, x_gate=float(x)
-        )
+        field = TwoModeField(z=z, e_right=e_right, e_left=e_left)
     return ScatterResult(
         omega=0.0,
         x=float(x),

@@ -52,7 +52,6 @@ class SpinWaveDensityMatrix:
 
     grid: np.ndarray
     rho: np.ndarray
-    is_initial: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -103,10 +102,10 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
     psi = np.sin(np.pi * grid / L).astype(complex)
     w = trapezoid_weights(grid)
     psi /= np.sqrt(np.sum(w * np.abs(psi) ** 2))
-    return SpinWaveDensityMatrix(grid=grid, rho=np.outer(psi, psi.conj()), is_initial=True)
+    return SpinWaveDensityMatrix(grid=grid, rho=np.outer(psi, psi.conj()))
 
 
-def _kernel_integral(xr: float, yr: float, length_r: float, epsabs: float) -> complex:
+def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
     # z, x, y in blockade-radius units; narrow features of unit width sit at
     # z = x and z = y, so both are quadrature break points
     def integrand(z):
@@ -115,6 +114,7 @@ def _kernel_integral(xr: float, yr: float, length_r: float, epsabs: float) -> co
         return (u - v) / ((u + 2j) * (v - 2j))
 
     pts = sorted({p for p in (xr, yr) if 0.0 < p < length_r})
+    epsabs = 1e-10
     val, err = quad(
         integrand,
         0.0,
@@ -141,8 +141,6 @@ def coherence_factor(
     y: float,
     config: PhysicalConfig,
     scales: DerivedScales | None = None,
-    *,
-    epsabs: float = 1e-10,
 ) -> complex:
     """Multiplier applied to rho0(x, y) by CW target scattering.
 
@@ -159,9 +157,7 @@ def coherence_factor(
         return 1.0 + 0.0j
     t_x = 1.0 / (1.0 + nu(config.L, x, scales))
     t_y = 1.0 / (1.0 + nu(config.L, y, scales))
-    integral = _kernel_integral(
-        x / scales.z_b, y / scales.z_b, config.L / scales.z_b, epsabs
-    )
+    integral = _kernel_integral(x / scales.z_b, y / scales.z_b, config.L / scales.z_b)
     return 1.0 + 1j * scales.d_b * t_x * np.conj(t_y) * integral
 
 
@@ -169,8 +165,6 @@ def evolve_cw(
     rho0: SpinWaveDensityMatrix,
     config: PhysicalConfig,
     scales: DerivedScales | None = None,
-    *,
-    epsabs: float = 1e-10,
 ) -> SpinWaveDensityMatrix:
     """Apply the CW scattering map element-wise to an initial density matrix.
 
@@ -196,12 +190,12 @@ def evolve_cw(
     factor = np.ones((n, n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
-            integral = _kernel_integral(grid[i] / zb, grid[j] / zb, length_r, epsabs)
+            integral = _kernel_integral(grid[i] / zb, grid[j] / zb, length_r)
             f = 1.0 + 1j * d_b * t[i] * np.conj(t[j]) * integral
             factor[i, j] = f
             factor[j, i] = np.conj(f)
 
-    evolved = SpinWaveDensityMatrix(grid=grid, rho=factor * rho0.rho, is_initial=False)
+    evolved = SpinWaveDensityMatrix(grid=grid, rho=factor * rho0.rho)
 
     eigs = np.linalg.eigvalsh(evolved.weighted())
     tr = evolved.trace()

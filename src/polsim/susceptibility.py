@@ -34,7 +34,6 @@ __all__ = [
     "free_susceptibilities",
     "chi0_cw",
     "nu",
-    "nu_infinity",
     "NU_INFINITY",
 ]
 
@@ -230,13 +229,9 @@ def nu(z, x, scales: DerivedScales):
     return val
 
 
-def nu_infinity() -> complex:
-    """Bulk constant ``pi/3 * (1+1j)**(1/3)`` (principal branch).
+NU_INFINITY = (math.pi / 3.0) * (1.0 + 1.0j) ** (1.0 / 3.0)
+"""Bulk constant ``pi/3 * (1+1j)**(1/3)`` (principal branch).
 
-    Equals the infinite-medium limit of ``nu(L, x) / d_b`` when the gate sits
-    many blockade radii from both boundaries; approximately 1.1354 + 0.3042j.
-    """
-    return (math.pi / 3.0) * (1.0 + 1.0j) ** (1.0 / 3.0)
-
-
-NU_INFINITY = nu_infinity()
+Equals the infinite-medium limit of ``nu(L, x) / d_b`` when the gate sits
+many blockade radii from both boundaries; approximately 1.1354 + 0.3042j.
+"""

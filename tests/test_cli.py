@@ -353,6 +353,25 @@ class TestSchemaAndExitCodes:
         assert main(["fidelity", "--config", str(cfg)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("rel_window", 0.0), ("rel_window", -1e-3), ("rel_window", 2.0),
+        ("rel_window", math.nan), ("n_omega", 3), ("n_omega", 6),
+    ])
+    def test_scan_rejects_out_of_range_window_up_front(self, tmp_path, monkeypatch, key, value):
+        def never(*args, **kwargs):
+            raise AssertionError("transparency_width_study ran before the range check")
+
+        monkeypatch.setattr(polsim.cli, "transparency_width_study", never)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=WIDTH, task="scan",
+            task_params={"parameter": "OmegaS", "values": [1.0, 2.0],
+                         "observable": "transparency_width", key: value},
+            output_dir=str(out),
+        )
+        assert main(["scan", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
     def test_fidelity_report_failure_exits_3_without_artifacts(self, tmp_path, monkeypatch):
         def stalls(*args, **kwargs):
             raise QuadratureError("step halving stalled", achieved=1e-6)

@@ -55,15 +55,15 @@ def assert_same_multiset(a, b, tol):
 class TestBuildBlochMatrix:
     def test_dimensions_and_basis_deletion(self):
         cfg = make_config()
-        assert build_bloch_matrix(0.1, "free", cfg).entries.shape == (6, 6)
-        blocked = build_bloch_matrix(0.1, "blockaded", cfg).entries
+        assert build_bloch_matrix(0.1, "free", cfg).shape == (6, 6)
+        blocked = build_bloch_matrix(0.1, "blockaded", cfg)
         assert blocked.shape == (5, 5)
-        free = build_bloch_matrix(0.1, "free", cfg).entries
+        free = build_bloch_matrix(0.1, "free", cfg)
         assert np.array_equal(blocked, free[:5, :5])
 
     def test_loss_only_on_polarization_diagonal(self):
         cfg = make_config(phi=1.1)
-        m = build_bloch_matrix(0.37, "free", cfg).entries
+        m = build_bloch_matrix(0.37, "free", cfg)
         anti = m - m.conj().T
         want = np.zeros((6, 6), dtype=complex)
         want[2, 2] = want[3, 3] = -2j * cfg.gamma
@@ -72,7 +72,7 @@ class TestBuildBlochMatrix:
     def test_zero_momentum_dark_vectors_are_annihilated(self):
         cfg = make_config(phi=0.7)
         for regime, count in (("free", 2), ("blockaded", 1)):
-            m = build_bloch_matrix(0.0, regime, cfg).entries
+            m = build_bloch_matrix(0.0, regime, cfg)
             vecs = dark_polariton_vectors(regime, cfg)
             assert len(vecs) == count
             for v in vecs:
@@ -85,15 +85,25 @@ class TestBuildBlochMatrix:
             build_bloch_matrix(0.0, "both", cfg)
         with pytest.raises(ValueError):
             build_bloch_matrix(np.inf, "free", cfg)
-        with pytest.raises(ValueError):
-            build_bloch_matrix(0.0, "blockaded", cfg, gate_shift=1e5)
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError):
+                build_bloch_matrix(np.array([0.0, 0.5, bad, 1.0]), "free", cfg)
+
+    def test_array_k_stacks_per_k_builds(self):
+        cfg = make_config(phi=0.6)
+        ks = np.linspace(-2.0, 2.0, 9)
+        for regime, dim in (("free", 6), ("blockaded", 5)):
+            stack = build_bloch_matrix(ks, regime, cfg)
+            assert stack.shape == (ks.size, dim, dim)
+            for k, m in zip(ks, stack):
+                assert np.array_equal(m, build_bloch_matrix(k, regime, cfg))
 
     def test_eigenvalues_match_characteristic_polynomial_roots(self):
         cfg = make_config(phi=0.4)
         rng = np.random.default_rng(11)
         for regime in ("free", "blockaded"):
             for k in rng.uniform(-3.0, 3.0, size=10):
-                m = build_bloch_matrix(float(k), regime, cfg).entries
+                m = build_bloch_matrix(float(k), regime, cfg)
                 direct = np.linalg.eigvals(m)
                 oracle = np.roots(charpoly_coefficients(m))
                 scale = max(1.0, np.abs(direct).max())
@@ -127,7 +137,7 @@ class TestSpectrum:
         for i in rng.integers(0, grid.size, size=10):
             tracked = np.array([b.omega[i] for b in branches])
             fresh = np.linalg.eigvals(
-                build_bloch_matrix(grid[i], "free", cfg).entries
+                build_bloch_matrix(grid[i], "free", cfg)
             ) / cfg.gamma
             assert_same_multiset(tracked, fresh, 1e-9 * max(1.0, np.abs(fresh).max()))
 
@@ -307,13 +317,14 @@ class TestFiniteShiftConvergence:
         cfg = make_config()
         k = 0.3 / derive_scales(cfg).l_abs
         target = np.sort_complex(
-            np.linalg.eigvals(build_bloch_matrix(k, "blockaded", cfg).entries)
+            np.linalg.eigvals(build_bloch_matrix(k, "blockaded", cfg))
         )
         errors = []
         for shift in (1e4, 1e6):
-            w = np.linalg.eigvals(
-                build_bloch_matrix(k, "free", cfg, gate_shift=shift).entries
-            )
+            # a finite van der Waals shift on the gate-sensitive level S
+            m = build_bloch_matrix(k, "free", cfg)
+            m[5, 5] = shift
+            w = np.linalg.eigvals(m)
             kept = np.sort_complex(w[np.abs(w) < shift / 2.0])
             assert kept.size == 5
             errors.append(np.max(np.abs(kept - target)))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from polsim import propagation
 from polsim.core_model import PhysicalConfig, derive_scales
 from polsim.errors import (
     FitWindowError,
@@ -25,7 +26,6 @@ from polsim.errors import (
 from polsim.propagation import (
     _N_SEGMENTS,
     _build_nodes,
-    GridSpec,
     T0Spectrum,
     cw_analytic,
     cw_bulk_coefficients,
@@ -130,24 +130,13 @@ class TestSolveBvpCw:
         with pytest.raises(ValueError):
             cw_analytic(25.0, cfg)
 
-    def test_grid_spec_validation(self):
-        with pytest.raises(GridError):
-            GridSpec(fine_step=1.0 / 100.0)  # too coarse for the gate
-        with pytest.raises(GridError):
-            GridSpec(fine_step=1.0 / 250.0, coarse_step=1.0 / 300.0)
-        with pytest.raises(GridError):
-            GridSpec(richardson_tol=0.0)
-        with pytest.raises(GridError):
-            GridSpec(max_refinements=0)
-        with pytest.raises(GridError):
-            GridSpec(cond_limit=0.5)
-
     def test_unreachable_tolerance_is_reported(self):
-        cfg = make_config(1.0)
-        spec = GridSpec(richardson_tol=1e-16, max_refinements=1)
+        # a deep, short medium with the gate on its edge: step halving
+        # stalls just above the tolerance
+        cfg = make_config(6.0, L=6.0)
         with pytest.raises(QuadratureError) as exc:
-            solve_bvp(0.0, 12.0, cfg, grid_spec=spec, cw=True)
-        assert exc.value.achieved > 1e-16
+            solve_bvp(-1.0, 0.0, cfg)
+        assert exc.value.achieved > propagation._RICHARDSON_TOL
 
 
 class TestSolveBvpFiniteFrequency:
@@ -165,10 +154,11 @@ class TestSolveBvpFiniteFrequency:
         assert abs(rm.reflection) == pytest.approx(0.306616, abs=1e-3)
         assert abs(abs(rp.reflection) - abs(rm.reflection)) > 0.02
 
-    def test_forced_domain_splitting_is_equivalent(self):
+    def test_forced_domain_splitting_is_equivalent(self, monkeypatch):
         cfg = make_config(5.0)
         plain = solve_bvp(0.3, 12.0, cfg)
-        forced = solve_bvp(0.3, 12.0, cfg, grid_spec=GridSpec(cond_limit=1.5))
+        monkeypatch.setattr(propagation, "_COND_LIMIT", 1.5)
+        forced = solve_bvp(0.3, 12.0, cfg)
         assert forced.segments > 1
         assert abs(forced.transmission - plain.transmission) < 1e-10
         assert abs(forced.reflection - plain.reflection) < 1e-10
@@ -176,15 +166,16 @@ class TestSolveBvpFiniteFrequency:
         assert abs(forced.field.e_left[-1]) < 1e-8
 
 
-def reference_solve(omega, x, config, spec=None, cw=False):
+def reference_solve(omega, x, config, cw=False):
     """Straightforward solver the component-wise kernel must reproduce.
 
-    Same nodes, RK4 scheme, Richardson test and shooting fallback, but each
+    Same nodes, RK4 scheme, Richardson test and shooting fallback (the step
+    and acceptance constants are read from ``polsim.propagation`` at call
+    time, so a patched ``_COND_LIMIT`` applies to both), but each
     level evaluates its three coefficient stacks afresh, the updates are
     (n, 2, 2) arrays multiplied with ``np.matmul``, and the field is
     accumulated one step at a time.  Returns (t, r, z, psi, segments).
     """
-    spec = spec or GridSpec()
     scales = derive_scales(config)
     eye = np.eye(2, dtype=complex)
 
@@ -214,21 +205,21 @@ def reference_solve(omega, x, config, spec=None, cw=False):
             out.append(step @ out[-1])
         return np.array(out)
 
-    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b, spec)
+    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b)
     phi = tree(updates_on(nodes))
-    for _ in range(spec.max_refinements):
+    for _ in range(propagation._MAX_REFINEMENTS):
         nodes = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
         u = updates_on(nodes)
         phi_f = tree(u)
         err = np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
         phi = phi_f
-        if err <= spec.richardson_tol:
+        if err <= propagation._RICHARDSON_TOL:
             break
     else:
         raise AssertionError("reference solve did not converge")
 
     z = nodes * scales.z_b
-    if np.linalg.cond(phi) <= spec.cond_limit:
+    if np.linalg.cond(phi) <= propagation._COND_LIMIT:
         r = -phi[1, 0] / phi[1, 1]
         psi = accumulate(u, np.array([1.0, r]))
         return psi[-1, 0], r, z, psi, 1
@@ -263,9 +254,9 @@ class TestKernelAgainstStackedReference:
     """The component-wise kernel against ``reference_solve``."""
 
     @staticmethod
-    def assert_same(omega, x, cfg, spec=None, cw=False):
-        res = solve_bvp(omega, x, cfg, grid_spec=spec, cw=cw)
-        t, r, z, psi, segments = reference_solve(omega, x, cfg, spec, cw)
+    def assert_same(omega, x, cfg, cw=False):
+        res = solve_bvp(omega, x, cfg, cw=cw)
+        t, r, z, psi, segments = reference_solve(omega, x, cfg, cw)
         assert res.segments == segments
         assert abs(res.transmission - t) <= 1e-12
         assert abs(res.reflection - r) <= 1e-12
@@ -283,8 +274,9 @@ class TestKernelAgainstStackedReference:
         res = self.assert_same(0.45, 12.3, make_config(5.0))
         assert res.segments > 1
 
-    def test_forced_domain_splitting(self):
-        res = self.assert_same(0.3, 12.0, make_config(5.0), GridSpec(cond_limit=1.5))
+    def test_forced_domain_splitting(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_COND_LIMIT", 1.5)
+        res = self.assert_same(0.3, 12.0, make_config(5.0))
         assert res.segments > 1
 
     def test_cw_kernel(self):

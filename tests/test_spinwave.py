@@ -36,7 +36,6 @@ def make_config(d_b, L):
 class TestInitialSineMode:
     def test_normalization_and_purity(self):
         dm = initial_sine_mode(5.0, 64)
-        assert dm.is_initial
         assert dm.trace() == pytest.approx(1.0, abs=1e-12)
         assert dm.purity() == pytest.approx(1.0, abs=1e-10)
 
@@ -143,7 +142,6 @@ def evolved_pair():
 class TestEvolveCw:
     def test_diagonal_untouched_and_trace_preserved(self, evolved_pair):
         rho0, out = evolved_pair
-        assert not out.is_initial
         assert np.array_equal(np.diag(out.rho), np.diag(rho0.rho))
         assert out.trace() == pytest.approx(rho0.trace(), abs=1e-10)
 

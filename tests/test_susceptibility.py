@@ -21,7 +21,6 @@ from polsim.susceptibility import (
     chi0_cw,
     free_susceptibilities,
     nu,
-    nu_infinity,
     susceptibilities,
     xi,
 )
@@ -245,7 +244,7 @@ class TestNuInfinity:
             epsrel=1e-12,
             complex_func=True,
         )
-        assert abs(1j * val - nu_infinity()) < 1e-10
+        assert abs(1j * val - NU_INFINITY) < 1e-10
 
     def test_printed_constant(self):
         assert NU_INFINITY.real == pytest.approx(1.13538738, abs=1e-8)
