@@ -60,7 +60,7 @@ class OversizedBlockadeError(PolsimError):
 
 
 class IllConditionedError(PolsimError):
-    """Fundamental-matrix solve remained ill conditioned after splitting."""
+    """Boundary solve hit a vanishing pivot or a non-finite coefficient."""
 
 
 class FitWindowError(PolsimError):

@@ -14,10 +14,14 @@ elementwise arithmetic over the steps.  It builds one fourth-order update
 matrix per step, multiplies them with a pairwise tree reduction, and
 accepts the result only after a step-halving comparison; a halved grid
 reuses every coefficient of the coarser one, so each point is evaluated
-once.  The field follows from running products built by doubling.  When
-the accumulated fundamental matrix is too ill-conditioned for the
-single-shot boundary solve, the domain is split and the interface values
-are obtained from one block linear system (multiple shooting).
+once.  Every scattering quantity is then a ratio of products, so none
+comes from a cancelling sum however deep the medium: with Phi the accepted
+fundamental matrix, R = -Phi10 / Phi11 and T = det Phi / Phi11, where
+det Phi is the product of the step determinants.  The field at node k
+follows from the suffix product S_k of the steps beyond it, which maps
+the field there to (T, 0): E_right = T S_k[1,1] / det S_k and
+E_left = -T S_k[1,0] / det S_k.  The suffix products are built by
+doubling.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DerivedScales, PhysicalConfig, derive_scales
+from .core_model import derive_scales
 from .errors import (
     FitWindowError,
     GridError,
@@ -58,9 +62,6 @@ __all__ = [
     "transparency_width_study",
 ]
 
-# Multiple-shooting segment count; the block system stays square for any value.
-_N_SEGMENTS = 32
-
 # Step policy of the boundary-value integrator, in blockade radii: fine steps
 # within _WINDOW of the gate (at least 200 per blockade radius resolve the
 # blockade sphere), coarse steps elsewhere.
@@ -72,9 +73,6 @@ _WINDOW = 3.0
 # _MAX_REFINEMENTS halvings.
 _RICHARDSON_TOL = 1e-8
 _MAX_REFINEMENTS = 3
-# Condition number of the fundamental matrix above which the solve switches
-# to multiple shooting.
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,7 @@ class ScatterResult:
 
     ``transmission`` is E_right(L), ``reflection`` is E_left(0) and
     ``absorption`` the power unaccounted for by either.  ``segments`` is 1
-    for a single-shot solve, the shooting-segment count otherwise, and 0 for
-    closed-form results.
+    for a numerical solve and 0 for closed-form results.
     """
 
     omega: float
@@ -211,87 +208,14 @@ def _tree_product(updates):
     return p[:, 0]
 
 
-def _running_products(updates, starts):
-    """Running products within segments, by doubling.
-
-    Segments start at the steps ``starts`` (ascending, the first being 0).
-    Returns ``(p, seg)``: column i of ``p`` is updates[i] @ ... @
-    updates[starts[seg[i]]], the product over its segment up to step i.
-    """
-    n = updates.shape[1]
-    seg = np.searchsorted(starts, np.arange(n), side="right") - 1
-    # steps from their segment's first step
-    depth = np.arange(n) - starts[seg]
+def _suffix_products(updates):
+    """Suffix products S_k = updates[-1] @ ... @ updates[k], by doubling."""
     p = updates.copy()
     shift = 1
-    while shift <= depth.max():
-        q = _mul(p[:, shift:], p[:, :-shift])
-        np.copyto(p[:, shift:], q, where=depth[shift:] >= shift)
+    while shift < p.shape[1]:
+        p[:, :-shift] = _mul(p[:, shift:], p[:, :-shift])
         shift *= 2
-    return p, seg
-
-
-def _field(p, seg, starts, values):
-    """psi at every node: segment j starts from ``values[j]`` at its first node."""
-    v = values[seg]
-    psi = np.empty((p.shape[1] + 1, 2), dtype=np.complex128)
-    psi[1:, 0] = p[0] * v[:, 0] + p[1] * v[:, 1]
-    psi[1:, 1] = p[2] * v[:, 0] + p[3] * v[:, 1]
-    psi[starts] = values
-    return psi
-
-
-def _scatter_result(omega, x, t, r, nodes, psi, scales, err, segments):
-    return ScatterResult(
-        omega=float(omega),
-        x=float(x),
-        transmission=complex(t),
-        reflection=complex(r),
-        absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        field=TwoModeField(z=nodes * scales.z_b, e_right=psi[:, 0], e_left=psi[:, 1]),
-        richardson_error=err,
-        segments=segments,
-    )
-
-
-def _multiple_shooting(nodes, updates, omega, x, scales, err):
-    n_steps = updates.shape[1]
-    m = min(_N_SEGMENTS, n_steps)
-    bounds = np.unique(np.linspace(0, n_steps, m + 1).astype(int))
-    m = bounds.size - 1
-    p, seg = _running_products(updates, bounds[:-1])
-    products = p[:, bounds[1:] - 1].T.reshape(m, 2, 2)
-
-    # unknowns (psi_0, ..., psi_m); rows: continuity across each segment,
-    # then the two boundary conditions
-    size = 2 * (m + 1)
-    block = np.zeros((size, size), dtype=np.complex128)
-    rhs = np.zeros(size, dtype=np.complex128)
-    for j, prod in enumerate(products):
-        block[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = prod
-        block[2 * j, 2 * j + 2] = -1.0
-        block[2 * j + 1, 2 * j + 3] = -1.0
-    block[size - 2, 0] = 1.0
-    rhs[size - 2] = 1.0
-    block[size - 1, size - 1] = 1.0
-    try:
-        sol = np.linalg.solve(block, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            "interface system is singular even after domain splitting"
-        ) from exc
-    residual = np.linalg.norm(block @ sol - rhs)
-    if not np.all(np.isfinite(sol)) or residual > 1e-8 * max(
-        1.0, float(np.linalg.norm(sol))
-    ):
-        raise IllConditionedError(
-            f"interface solve residual {residual:.3g} after domain splitting"
-        )
-
-    psi = _field(p, seg, bounds[:-1], sol[: 2 * m].reshape(m, 2))
-    return _scatter_result(
-        omega, x, sol[size - 2], sol[1], nodes, psi, scales, err, m
-    )
+    return p
 
 
 def solve_bvp(omega, x, config, cw=False, scales=None):
@@ -348,20 +272,32 @@ def solve_bvp(omega, x, config, cw=False, scales=None):
             achieved=err,
         )
 
-    cond = np.linalg.cond(phi.reshape(2, 2))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        return _multiple_shooting(nodes, updates, omega, x, scales, err)
-
     if phi[3] == 0.0:
         raise IllConditionedError("boundary solve hit a vanishing pivot")
     r = -phi[2] / phi[3]
-    if not np.isfinite(r):
-        raise IllConditionedError("boundary solve produced a non-finite reflection")
-    starts = np.zeros(1, dtype=int)
-    p, seg = _running_products(updates, starts)
-    psi = _field(p, seg, starts, np.array([[1.0, r]], dtype=np.complex128))
-    t = phi[0] + phi[1] * r
-    return _scatter_result(omega, x, t, r, nodes, psi, scales, err, 1)
+    # det S_k of every suffix product; det Phi = det S_0
+    det_u = updates[0] * updates[3] - updates[1] * updates[2]
+    det_s = np.cumprod(det_u[::-1])[::-1]
+    t = det_s[0] / phi[3]
+    if not (np.isfinite(r) and np.isfinite(t)):
+        raise IllConditionedError("boundary solve produced a non-finite coefficient")
+    # S_k maps the field at node k to (t, 0) at z = L, so psi_k = S_k^{-1} (t, 0)
+    s = _suffix_products(updates)
+    psi = np.empty((nodes.size, 2), dtype=np.complex128)
+    psi[0] = (1.0, r)
+    psi[1:-1, 0] = t * s[3, 1:] / det_s[1:]
+    psi[1:-1, 1] = -t * s[2, 1:] / det_s[1:]
+    psi[-1] = (t, 0.0)
+    return ScatterResult(
+        omega=float(omega),
+        x=float(x),
+        transmission=complex(t),
+        reflection=complex(r),
+        absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
+        field=TwoModeField(z=nodes * scales.z_b, e_right=psi[:, 0], e_left=psi[:, 1]),
+        richardson_error=err,
+        segments=1,
+    )
 
 
 def cw_analytic(x, config, z=None, scales=None):

@@ -14,8 +14,9 @@ import pytest
 import polsim.cli
 import polsim.fidelity
 from polsim.cli import main, run
+from polsim.core_model import PhysicalConfig
 from polsim.errors import QuadratureError, SchemaError
-from polsim.propagation import cw_bulk_coefficients
+from polsim.propagation import cw_analytic, cw_bulk_coefficients
 
 PHYSICAL = {
     "G": 2.2360679774997896, "Omega": 1.0, "OmegaS": 1.0, "gamma": 1.0,
@@ -163,15 +164,31 @@ class TestT0Task:
 
 
 class TestPropagateTask:
-    def test_resonant_run_uses_closed_form(self, tmp_path):
+    def test_resonant_run_uses_cw_solver(self, tmp_path, monkeypatch):
+        calls = []
+        solve_bvp = polsim.cli.solve_bvp
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("cw"))
+            return solve_bvp(*args, **kwargs)
+
+        def never(*args, **kwargs):
+            raise AssertionError("propagate must solve the cw problem numerically")
+
+        monkeypatch.setattr(polsim.cli, "solve_bvp", spy)
+        monkeypatch.setattr(polsim.cli, "cw_analytic", never)
         cfg = write_config(
             tmp_path, physical=PHYSICAL, task="propagate",
             task_params={"omega": 0.0}, output_dir=str(tmp_path / "out"),
         )
         assert main(["propagate", "--config", str(cfg)]) == 0
+        assert calls == [True]
         manifest = read_manifest(tmp_path / "out")
-        assert manifest["reflection"]["abs"] == pytest.approx(0.858234, abs=1e-5)
-        assert manifest["absorption"] == pytest.approx(0.242111, abs=1e-5)
+        closed = cw_analytic(PHYSICAL["x_gate"], PhysicalConfig(**PHYSICAL))
+        assert manifest["reflection"]["abs"] == pytest.approx(
+            abs(closed.reflection), rel=1e-6
+        )
+        assert manifest["absorption"] == pytest.approx(closed.absorption, rel=1e-6)
         rows = csv_rows(tmp_path / "out" / manifest["artifacts"][0])
         assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
         assert abs(float(rows[-1][5])) < 1e-8  # no backward input at exit
