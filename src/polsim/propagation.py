@@ -21,14 +21,18 @@ det Phi is the product of the step determinants.  The field at node k
 follows from the suffix product S_k of the steps beyond it, which maps
 the field there to (T, 0): E_right = T S_k[1,1] / det S_k and
 E_left = -T S_k[1,0] / det S_k.  The suffix products are built by
-doubling.
+doubling, and only when the field is first read: R and T need none of
+them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -90,7 +94,10 @@ class ScatterResult:
 
     ``transmission`` is E_right(L), ``reflection`` is E_left(0) and
     ``absorption`` the power unaccounted for by either.  ``segments`` is 1
-    for a numerical solve and 0 for closed-form results.
+    for a numerical solve and 0 for closed-form results.  ``field`` (a
+    ``TwoModeField``, or None where none was asked for) is built by
+    ``_build_field`` on first read and kept, so a caller that needs only
+    the coefficients never pays for it.
     """
 
     omega: float
@@ -98,9 +105,15 @@ class ScatterResult:
     transmission: complex
     reflection: complex
     absorption: float
-    field: TwoModeField | None
     richardson_error: float
     segments: int
+    _build_field: Callable[[], TwoModeField | None] = dataclass_field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def field(self) -> TwoModeField | None:
+        return self._build_field()
 
 
 def propagation_matrix(z, x, omega, config, scales=None, cw=False):
@@ -182,18 +195,25 @@ def _rk4_updates(nodes_zb, a_nodes, a_mid):
     a1 = a_nodes[:, :-1]
     a3 = a_nodes[:, 1:]
 
-    def shifted(k, f):
-        # identity + f * k
-        out = f * k
+    def shifted(k, f, out):
+        # identity + f * k, written into out
+        np.multiply(k, f, out=out)
         out[0] += 1.0
         out[3] += 1.0
         return out
 
-    k1 = a1
-    k2 = _mul(a_mid, shifted(k1, 0.5 * h))
-    k3 = _mul(a_mid, shifted(k2, 0.5 * h))
-    k4 = _mul(a3, shifted(k3, h))
-    return shifted(k1 + 2.0 * k2 + 2.0 * k3 + k4, h / 6.0)
+    # the three shifted operands share one scratch stack
+    scratch = np.empty_like(a_mid)
+    k2 = _mul(a_mid, shifted(a1, 0.5 * h, scratch))
+    k3 = _mul(a_mid, shifted(k2, 0.5 * h, scratch))
+    k4 = _mul(a3, shifted(k3, h, scratch))
+    # k1 + 2 k2 + 2 k3 + k4, summed left to right into k2
+    k2 *= 2.0
+    k2 += a1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    return shifted(k2, h / 6.0, k2)
 
 
 def _tree_product(updates):
@@ -239,9 +259,20 @@ def solve_bvp(omega, x, config, cw=False, scales=None):
         )
 
     def coefficients(points):
-        # -1j M as a component stack, one evaluation per point
+        # -1j M as a C-ordered component stack, one evaluation per point
         m = propagation_matrix(points * scales.z_b, x, omega, config, scales, cw)
-        return -1j * m.reshape(-1, 4).T
+        return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
+
+    def product(level, nodes, a_nodes, a_mid):
+        updates = _rk4_updates(nodes, a_nodes, a_mid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = _tree_product(updates)
+        if not np.all(np.isfinite(phi)):
+            raise IllConditionedError(
+                f"fundamental matrix overflows at refinement level {level} "
+                f"({updates.shape[1]} steps)"
+            )
+        return updates, phi
 
     # each level's nodes are the previous level's nodes and step midpoints,
     # so only the new midpoints are evaluated
@@ -249,16 +280,14 @@ def solve_bvp(omega, x, config, cw=False, scales=None):
     a_nodes = coefficients(nodes)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     a_mid = coefficients(mid)
-    updates = _rk4_updates(nodes, a_nodes, a_mid)
-    phi = _tree_product(updates)
+    updates, phi = product(0, nodes, a_nodes, a_mid)
     err = math.inf
-    for _ in range(_MAX_REFINEMENTS):
+    for level in range(1, _MAX_REFINEMENTS + 1):
         nodes = _interleave(nodes, mid)
         a_nodes = _interleave(a_nodes, a_mid)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         a_mid = coefficients(mid)
-        updates = _rk4_updates(nodes, a_nodes, a_mid)
-        phi_f = _tree_product(updates)
+        updates, phi_f = product(level, nodes, a_nodes, a_mid)
         err = float(
             np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
         )
@@ -275,29 +304,37 @@ def solve_bvp(omega, x, config, cw=False, scales=None):
     if phi[3] == 0.0:
         raise IllConditionedError("boundary solve hit a vanishing pivot")
     r = -phi[2] / phi[3]
-    # det S_k of every suffix product; det Phi = det S_0
+    # det Phi = det S_0, multiplied from the last step down in the same
+    # order as the field's det S_k
     det_u = updates[0] * updates[3] - updates[1] * updates[2]
-    det_s = np.cumprod(det_u[::-1])[::-1]
-    t = det_s[0] / phi[3]
+    t = np.prod(det_u[::-1]) / phi[3]
     if not (np.isfinite(r) and np.isfinite(t)):
         raise IllConditionedError("boundary solve produced a non-finite coefficient")
-    # S_k maps the field at node k to (t, 0) at z = L, so psi_k = S_k^{-1} (t, 0)
-    s = _suffix_products(updates)
-    psi = np.empty((nodes.size, 2), dtype=np.complex128)
-    psi[0] = (1.0, r)
-    psi[1:-1, 0] = t * s[3, 1:] / det_s[1:]
-    psi[1:-1, 1] = -t * s[2, 1:] / det_s[1:]
-    psi[-1] = (t, 0.0)
     return ScatterResult(
         omega=float(omega),
         x=float(x),
         transmission=complex(t),
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        field=TwoModeField(z=nodes * scales.z_b, e_right=psi[:, 0], e_left=psi[:, 1]),
         richardson_error=err,
         segments=1,
+        _build_field=partial(_field, nodes * scales.z_b, updates, det_u, r, t),
     )
+
+
+def _field(z, updates, det_u, r, t):
+    """Field on the nodes ``z`` of the accepted steps, from their suffix products.
+
+    S_k maps the field at node k to (t, 0) at z = L, so psi_k = S_k^{-1} (t, 0).
+    """
+    s = _suffix_products(updates)
+    det_s = np.cumprod(det_u[::-1])[::-1]
+    psi = np.empty((z.size, 2), dtype=np.complex128)
+    psi[0] = (1.0, r)
+    psi[1:-1, 0] = t * s[3, 1:] / det_s[1:]
+    psi[1:-1, 1] = -t * s[2, 1:] / det_s[1:]
+    psi[-1] = (t, 0.0)
+    return TwoModeField(z=z, e_right=psi[:, 0], e_left=psi[:, 1])
 
 
 def cw_analytic(x, config, z=None, scales=None):
@@ -329,9 +366,9 @@ def cw_analytic(x, config, z=None, scales=None):
         transmission=complex(t),
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
-        field=field,
         richardson_error=0.0,
         segments=0,
+        _build_field=lambda: field,
     )
 
 

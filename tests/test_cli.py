@@ -315,6 +315,19 @@ class TestSchemaAndExitCodes:
         assert main(["scan", "--config", str(cfg)]) == 3
         assert list(out.glob("*")) == []  # no partial artifacts, no manifest
 
+    def test_overflowing_solve_exits_3_without_artifacts(self, tmp_path, capsys):
+        # d_b = 30 over 48 blockade radii at omega = gamma: the step product
+        # overflows, and nothing is written
+        out = tmp_path / "out"
+        physical = dict(PHYSICAL, G=math.sqrt(30.0), L=48.0, x_gate=24.0)
+        cfg = write_config(
+            tmp_path, physical=physical, task="propagate",
+            task_params={"omega": 1.0}, output_dir=str(out),
+        )
+        assert main(["propagate", "--config", str(cfg)]) == 3
+        assert "overflows at refinement level 0" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
     def test_runner_validation_exits_2_without_output_dir(self, tmp_path):
         out = tmp_path / "out"
         cfg = cw_config(tmp_path, d_b_min=10.0, d_b_max=0.5)

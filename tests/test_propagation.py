@@ -6,6 +6,7 @@ along the medium, over a sweep of depths and gate positions.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from polsim.core_model import PhysicalConfig, derive_scales
 from polsim.errors import (
     FitWindowError,
     GridError,
+    IllConditionedError,
     QuadratureError,
     SingularFrequencyError,
 )
@@ -34,6 +36,7 @@ from polsim.propagation import (
     t0_spectrum,
     transparency_width_study,
 )
+from polsim.fidelity import reflection_spectrum
 from polsim.susceptibility import free_susceptibilities
 
 
@@ -135,7 +138,17 @@ class TestSolveBvpCw:
         cfg = make_config(6.0, L=6.0)
         with pytest.raises(QuadratureError) as exc:
             solve_bvp(-1.0, 0.0, cfg)
+        assert math.isfinite(exc.value.achieved)
         assert exc.value.achieved > propagation._RICHARDSON_TOL
+
+    def test_overflowing_product_is_ill_conditioned(self):
+        # d_b = 30 over 48 blockade radii at omega = gamma: the product of the
+        # first level's steps overflows, which is no stalled halving
+        cfg = make_config(30.0, L=48.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match=r"level 0 \(4500 steps\)"):
+                solve_bvp(1.0, 24.0, cfg)
 
 
 class TestSolveBvpFiniteFrequency:
@@ -311,6 +324,22 @@ class TestKernelAgainstStackedReference:
 
     def test_cw_kernel(self):
         self.assert_same(0.0, 8.0, make_config(2.0), cw=True)
+
+
+class TestFieldOnFirstRead:
+    def test_reflection_spectrum_builds_no_field(self, monkeypatch):
+        def never(updates):
+            raise AssertionError("the field was built")
+
+        monkeypatch.setattr(propagation, "_suffix_products", never)
+        cfg = criterion_10_config()
+        omegas = np.array([-2.5e7, -1.25e5, 3.0e6, 2.5e7])
+        r1 = reflection_spectrum(omegas, cfg)
+        for omega, r in zip(omegas, r1):
+            assert r == solve_bvp(omega, cfg.x_gate, cfg).reflection
+        monkeypatch.undo()
+        res = solve_bvp(omegas[0], cfg.x_gate, cfg)
+        assert res.field is res.field
 
 
 class TestSolveBvpProperties:

@@ -6,6 +6,7 @@ nu against a dense-grid trapezoid oracle and 30-digit mpmath quadrature.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from polsim.core_model import PhysicalConfig, derive_scales
 from polsim.errors import SingularFrequencyError
 from polsim.susceptibility import (
     NU_INFINITY,
+    _vdw_or_inf,
     chi0_cw,
     free_susceptibilities,
     nu,
@@ -169,6 +171,37 @@ class TestChi0Cw:
         dz = np.linspace(-4.0, 4.0, 17)
         arr = chi0_cw(dz, SCALES)
         assert np.allclose(arr, [chi0_cw(float(u), SCALES) for u in dz])
+
+
+EPS = np.finfo(float).eps
+
+
+class TestSixthPower:
+    """``_vdw_or_inf`` and ``chi0_cw`` take dz**6 by multiplication."""
+
+    def test_vdw_matches_pow_within_4_ulp(self):
+        # three roundings in the product and one in the quotient: at most
+        # 3.5 eps relative from numpy's pow route
+        rng = np.random.default_rng(7)
+        dz = rng.uniform(-5.0, 5.0, 4000) * 10.0 ** rng.uniform(-3.0, 3.0, 4000)
+        want = CFG.C6 / dz**6
+        got = _vdw_or_inf(dz, CFG)
+        assert np.all(np.abs(got - want) <= 4.0 * EPS * want)
+
+    def test_vdw_extremes_raise_no_warning(self):
+        dz = np.array([0.0, 1e-60, -1e-60, 1e60, -1e60])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _vdw_or_inf(dz, CFG)
+        assert np.array_equal(got, [np.inf, np.inf, np.inf, 0.0, 0.0])
+        assert _vdw_or_inf(0.0, CFG) == np.inf
+
+    def test_cw_kernel_matches_pow(self):
+        rng = np.random.default_rng(8)
+        dz = rng.uniform(-5.0, 5.0, 4000)
+        want = SCALES.d_b / ((dz / SCALES.z_b) ** 6 + 2j)
+        got = chi0_cw(dz, SCALES)
+        assert np.all(np.abs(got - want) <= 8.0 * EPS * np.abs(want))
 
 
 class TestNu:
