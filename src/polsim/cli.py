@@ -328,6 +328,7 @@ def _run_propagate(cfg, scales, params):
                        "abs": abs(result.reflection)},
         "absorption": result.absorption,
         "richardson_error": result.richardson_error,
+        "refinements": result.refinements,
         "segments": result.segments,
     }
     return {"propagate.csv": _csv_text(header, columns)}, extras

@@ -14,8 +14,12 @@ elementwise arithmetic over the steps.  It builds one fourth-order update
 matrix per step, multiplies them with a pairwise tree reduction, and
 accepts the result only after a step-halving comparison; a halved grid
 reuses every coefficient of the coarser one, so each point is evaluated
-once.  Every scattering quantity is then a ratio of products, so none
-comes from a cancelling sum however deep the medium: with Phi the accepted
+once.  The base grid has 200 steps per blockade radius within three radii
+of the gate and 25 elsewhere; up to four halvings follow, and the grid
+accepted is the finer one of the first pair that agrees, so it has
+between 400 and 3200 steps per radius near the gate.  Every scattering
+quantity is then a ratio of products, so none comes from a cancelling
+sum however deep the medium: with Phi the accepted
 fundamental matrix, R = -Phi10 / Phi11 and T = det Phi / Phi11, where
 det Phi is the product of the step determinants.  The field at node k
 follows from the suffix product S_k of the steps beyond it, which maps
@@ -66,17 +70,18 @@ __all__ = [
     "transparency_width_study",
 ]
 
-# Step policy of the boundary-value integrator, in blockade radii: fine steps
-# within _WINDOW of the gate (at least 200 per blockade radius resolve the
-# blockade sphere), coarse steps elsewhere.
-_FINE_STEP = 1.0 / 400.0
-_COARSE_STEP = 1.0 / 50.0
+# Step policy of the boundary-value integrator, in blockade radii: the base
+# grid has fine steps within _WINDOW of the gate (200 per blockade radius
+# resolve the blockade sphere) and coarse steps (25 per radius) elsewhere.
+_FINE_STEP = 1.0 / 200.0
+_COARSE_STEP = 1.0 / 25.0
 _WINDOW = 3.0
 # A solve is accepted once halving every step changes the fundamental matrix
 # by less than _RICHARDSON_TOL (relative Frobenius), with at most
-# _MAX_REFINEMENTS halvings.
+# _MAX_REFINEMENTS halvings.  The accepted grid is the finer one of the
+# passing pair: 400 to 3200 steps per blockade radius near the gate.
 _RICHARDSON_TOL = 1e-8
-_MAX_REFINEMENTS = 3
+_MAX_REFINEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,10 @@ class ScatterResult:
     """Scattering solution for a unit-amplitude probe entering at z = 0.
 
     ``transmission`` is E_right(L), ``reflection`` is E_left(0) and
-    ``absorption`` the power unaccounted for by either.  ``segments`` is 1
-    for a numerical solve and 0 for closed-form results.  ``field`` (a
+    ``absorption`` the power unaccounted for by either.  ``refinements``
+    counts the step halvings of the accepted grid (1 to ``_MAX_REFINEMENTS``
+    for a numerical solve) and ``segments`` is 1 for a numerical solve; both
+    are 0 for closed-form results.  ``field`` (a
     ``TwoModeField``, or None where none was asked for) is built by
     ``_build_field`` on first read and kept, so a caller that needs only
     the coefficients never pays for it.
@@ -106,6 +113,7 @@ class ScatterResult:
     reflection: complex
     absorption: float
     richardson_error: float
+    refinements: int
     segments: int
     _build_field: Callable[[], TwoModeField | None] = dataclass_field(
         repr=False, compare=False
@@ -317,6 +325,7 @@ def solve_bvp(omega, x, config, cw=False, scales=None):
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
         richardson_error=err,
+        refinements=level,
         segments=1,
         _build_field=partial(_field, nodes * scales.z_b, updates, det_u, r, t),
     )
@@ -367,6 +376,7 @@ def cw_analytic(x, config, z=None, scales=None):
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
         richardson_error=0.0,
+        refinements=0,
         segments=0,
         _build_field=lambda: field,
     )

@@ -169,7 +169,10 @@ def evolve_cw(
     """Apply the CW scattering map element-wise to an initial density matrix.
 
     Evaluates the coherence factor for every grid pair (upper triangle, then
-    Hermitian mirror), leaving the diagonal untouched.  The grid must lie
+    Hermitian mirror), leaving the diagonal untouched.  The kernel integral
+    is unchanged by the reflection z -> L - z, so on a grid symmetric about
+    L/2 (``initial_sine_mode``'s) only pairs (i, j) with i + j <= N - 1 are
+    integrated and the rest read their mirror image.  The grid must lie
     within [0, L] of ``config``.  Raises QuadratureError naming the offending
     pair if an element integral fails to converge, and emits a
     PositivityWarning if discretization pushes the result out of the PSD
@@ -187,10 +190,18 @@ def evolve_cw(
     t = 1.0 / (1.0 + nu(config.L, grid, scales))
 
     n = grid.size
+    # K(x, y) = K(L - x, L - y) and K(y, x) = -conj(K(x, y)), so past the
+    # anti-diagonal K[i, j] = -conj(K[n-1-j, n-1-i]), from an earlier row
+    mirrored = bool(np.all(np.abs(grid + grid[::-1] - config.L) <= 1e-12 * config.L))
+    kernel = np.zeros((n, n), dtype=complex)
     factor = np.ones((n, n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
-            integral = _kernel_integral(grid[i] / zb, grid[j] / zb, length_r)
+            if mirrored and i + j > n - 1:
+                integral = -np.conj(kernel[n - 1 - j, n - 1 - i])
+            else:
+                integral = _kernel_integral(grid[i] / zb, grid[j] / zb, length_r)
+            kernel[i, j] = integral
             f = 1.0 + 1j * d_b * t[i] * np.conj(t[j]) * integral
             factor[i, j] = f
             factor[j, i] = np.conj(f)

@@ -193,6 +193,20 @@ class TestPropagateTask:
         assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
         assert abs(float(rows[-1][5])) < 1e-8  # no backward input at exit
 
+    @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 1, 3301), (0.45, 4, 26401)])
+    def test_one_row_per_node_of_the_accepted_grid(self, tmp_path, omega, refinements, rows):
+        # L = 24 z_b with the gate at 12 z_b: 6 z_b at 400 * 2**(k - 1) steps per
+        # radius and 18 z_b at 50 * 2**(k - 1), after k refinements
+        cfg = write_config(
+            tmp_path, physical=PHYSICAL, task="propagate",
+            task_params={"omega": omega}, output_dir=str(tmp_path / "out"),
+        )
+        assert main(["propagate", "--config", str(cfg)]) == 0
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["refinements"] == refinements
+        assert 0.0 <= manifest["richardson_error"] <= 1e-8
+        assert len(csv_rows(tmp_path / "out" / manifest["artifacts"][0])) == 1 + rows
+
     def test_z_column_is_in_metres(self, tmp_path):
         # C6 = 64 makes z_b = 2, so a column scaled by z_b twice ends at 2 L
         physical = dict(PHYSICAL, C6=64.0, L=48.0, x_gate=24.0)

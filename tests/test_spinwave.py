@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import polsim.spinwave
 from polsim.core_model import PhysicalConfig, derive_scales
 from polsim.errors import GridError, PositivityWarning
 from polsim.propagation import cw_bulk_coefficients
@@ -175,6 +176,29 @@ class TestEvolveCw:
         rho0 = initial_sine_mode(6.0, 64)
         with pytest.raises(GridError):
             evolve_cw(rho0, cfg)
+
+    @pytest.mark.parametrize("grid, integrals", [
+        (np.linspace(0.0, 5.0, 9), 20),        # mirrored: i + j <= 8 only
+        (np.linspace(0.0, 4.6, 9) ** 1.05, 36),  # asymmetric: every pair
+    ])
+    def test_mirror_reuse_matches_every_pair(self, grid, integrals, monkeypatch):
+        # the mirrored half of the map equals direct evaluation pair by pair
+        cfg = make_config(5.0, 5.0)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        outer = np.outer(psi, psi.conj())
+        rho0 = SpinWaveDensityMatrix(grid=grid, rho=0.5 * (outer + outer.conj().T))
+        calls = []
+        kernel = polsim.spinwave._kernel_integral
+        monkeypatch.setattr(polsim.spinwave, "_kernel_integral",
+                            lambda *a: calls.append(a) or kernel(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PositivityWarning)
+            out = evolve_cw(rho0, cfg)
+        assert len(calls) == integrals
+        expected = np.array([[coherence_factor(x, y, cfg) for y in grid] for x in grid])
+        assert np.max(np.abs(out.rho - expected * rho0.rho)) <= 1e-10 * np.max(np.abs(rho0.rho))
+        assert np.array_equal(out.rho, out.rho.conj().T)
 
 
 class TestBlockadeLossBaseline:
