@@ -129,19 +129,22 @@ def propagation_matrix(z, x, omega, config, scales=None, cw=False):
 
     Structure ``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``,
     per unit zeta = z / z_b.  ``z`` may be a scalar or array of physical
-    positions; the returned array has shape ``z.shape + (2, 2)``.  With
+    positions; the returned array has shape ``z.shape + (2, 2)``, and a
+    scalar ``z`` gives the bits of the matching array element.  With
     ``cw=True`` the exact zero-frequency kernel is used (the three
     susceptibilities collapse to chi_r = -chi_l = -chi_c) and ``omega`` is
     ignored.
     """
     if scales is None:
         scales = derive_scales(config)
-    dz = np.asarray(z, dtype=float) - x
+    dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
     if cw:
         k = chi0_cw(dz, scales)
-        return _coefficient_matrix(k, -k, -k, config.phi)
-    chi = susceptibilities(dz, omega, config, scales)
-    return _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
+        m = _coefficient_matrix(k, -k, -k, config.phi)
+    else:
+        chi = susceptibilities(dz, omega, config, scales)
+        m = _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
+    return m[0] if np.ndim(z) == 0 else m
 
 
 def _coefficient_matrix(chi_r, chi_l, chi_c, phi):

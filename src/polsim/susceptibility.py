@@ -5,7 +5,9 @@ The coupled right/left-moving probe amplitudes obey
 susceptibilities: ``chi_r`` (forward), ``chi_l`` (backward) and ``chi_c``
 (cross coupling).  All three share the denominator of the atomic response,
 which contains the gate's van der Waals shift ``V(dz)`` through the detuned
-second control leg.
+second control leg.  One formula, scaled by ``1 / (V + |omega| + gamma)``,
+covers every shift from the gate point (``V = inf``, the leg blockaded) to
+the free medium (``V = 0``).
 
 Two conventions hold throughout the package:
 
@@ -37,11 +39,6 @@ __all__ = [
     "NU_INFINITY",
 ]
 
-# Above this multiple of the local rate scale the van der Waals shift is
-# treated as infinite (fully blockaded leg); keeps float overflow out of the
-# formulas without changing results at double precision.
-_V_HUGE_FACTOR = 1e18
-
 # Relative floor for the shared denominator before declaring a pole.
 _POLE_REL_TOL = 1e-13
 
@@ -68,61 +65,51 @@ def xi(omega, config: PhysicalConfig):
     return omega + 1j * config.gamma - config.Omega**2 / omega
 
 
-def _chi_arrays(V, omega, config, scales):
+def _chi_arrays(dz, omega, config, scales):
     """Vectorized rescaled susceptibility triple.
 
-    ``V`` (van der Waals shifts, which may contain ``inf`` at fully
-    blockaded points) and ``omega`` are scalars or arrays that broadcast.
-    The formulas are multiplied through by ``omega - V`` so that the
-    crossing ``V == omega`` (where the bare detuned-leg term has a pole that
-    cancels) stays finite.
+    ``dz`` (separations from the gate; 0 is the gate point, ``inf`` the
+    gate-free medium) and ``omega`` are scalars or arrays that broadcast.
+    One formula serves every van der Waals shift ``V`` in ``[0, inf]``:
+    numerators and denominator are multiplied through by ``p * (omega - V)``
+    with ``p = 1 / (V + a)`` and ``a = |omega| + gamma``.  The scaled
+    detuning ``w = p * (omega - V)`` stays in ``[-1, 1]``; it is ``-1`` (and
+    ``p = 0``) at the gate, where the detuned leg is frozen out and the
+    medium is a plain two-photon ladder, ``omega / a`` in the free medium,
+    and 0 at the crossing ``V == omega``, where the bare detuned-leg term
+    has a pole that cancels.  The pole check is the unscaled one with both
+    sides multiplied by ``p``.
     """
     if np.any(np.equal(omega, 0.0)):
         raise SingularFrequencyError(
             "finite-frequency susceptibilities are singular at omega = 0; "
             "use chi0_cw for the CW limit"
         )
-    V = np.asarray(V, dtype=float)
     x = xi(omega, config)
     om2 = config.Omega**2
     om4_w2 = om2**2 / omega**2
     g2_c = config.G**2 / config.c
 
-    huge = ~np.isfinite(V) | (V > _V_HUGE_FACTOR * np.maximum(np.abs(omega), config.gamma))
-    w = np.where(huge, 0.0, omega - V)
-
-    def first(mask, values):
-        return np.broadcast_to(values, mask.shape).flat[int(np.argmax(mask))].item()
-
-    # Denominator and numerators of the w-scaled form; on fully blockaded
-    # points this reduces to w = 0 only accidentally, so they get the exact
-    # V -> inf limit afterwards.
-    num_r = x * w - config.OmegaS**2
+    V = _vdw_or_inf(dz, config)
+    a = np.abs(omega) + config.gamma
+    p = 1.0 / (V + a)
+    with np.errstate(divide="ignore"):
+        w = omega * p - 1.0 / (1.0 + a / V)
+    s2 = config.OmegaS**2 * p
+    num_r = x * w - s2
     denom = x * num_r - w * om4_w2
-    scale = np.abs(x) * (np.abs(x * w) + config.OmegaS**2) + np.abs(w) * om4_w2
-    pole = (np.abs(denom) <= _POLE_REL_TOL * scale) & ~huge
+    scale = np.abs(x) * (np.abs(x * w) + s2) + np.abs(w) * om4_w2
+    pole = np.abs(denom) <= _POLE_REL_TOL * scale
     if np.any(pole):
-        V_at, omega_at = first(pole, V), first(pole, omega)
-        raise SusceptibilityPoleError(dz=None, omega=omega_at,
-                                      message=f"susceptibility pole at V={V_at!r}, "
-                                              f"omega={omega_at!r}")
+        at = int(np.argmax(pole))
+        raise SusceptibilityPoleError(
+            dz=np.broadcast_to(dz, pole.shape).flat[at].item(),
+            omega=np.broadcast_to(omega, pole.shape).flat[at].item(),
+        )
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        chi_r = -omega / config.c + g2_c * num_r / denom
-        chi_l = omega / config.c - g2_c * x * w / denom
-        chi_c = g2_c * (om2 / omega) * w / denom
-
-    if np.any(huge):
-        # V -> inf: the detuned leg is frozen out and the medium responds as
-        # a plain two-photon ladder.
-        d0 = x * x - om4_w2
-        pole = huge & (np.abs(d0) <= _POLE_REL_TOL * (np.abs(x) ** 2 + om4_w2))
-        if np.any(pole):
-            raise SusceptibilityPoleError(dz=0.0, omega=first(pole, omega))
-        chi_r = np.where(huge, -omega / config.c + g2_c * x / d0, chi_r)
-        chi_l = np.where(huge, omega / config.c - g2_c * x / d0, chi_l)
-        chi_c = np.where(huge, g2_c * (om2 / omega) / d0, chi_c)
-
+    chi_r = -omega / config.c + g2_c * num_r / denom
+    chi_l = omega / config.c - g2_c * x * w / denom
+    chi_c = g2_c * (om2 / omega) * w / denom
     z_b = scales.z_b
     return z_b * chi_r, z_b * chi_l, z_b * chi_c
 
@@ -138,12 +125,15 @@ def _sixth_power(u):
 
 
 def _vdw_or_inf(dz, config):
-    """C6/dz**6 with the dz = 0 point mapped to +inf instead of raising."""
-    dz = np.asarray(dz, dtype=float)
+    """C6/dz**6, with dz = 0 mapped to +inf and dz = +-inf to 0."""
     with np.errstate(divide="ignore", over="ignore"):
-        sep6 = _sixth_power(dz)
-        V = np.where(sep6 > 0.0, config.C6 / np.where(sep6 > 0.0, sep6, 1.0), np.inf)
-    return V
+        return config.C6 / _sixth_power(np.asarray(dz, dtype=float))
+
+
+def _triple(chi_r, chi_l, chi_c, scalar):
+    if scalar:
+        return SusceptibilityTriple(complex(chi_r[0]), complex(chi_l[0]), complex(chi_c[0]))
+    return SusceptibilityTriple(chi_r, chi_l, chi_c)
 
 
 def susceptibilities(
@@ -156,25 +146,18 @@ def susceptibilities(
 
     ``dz`` may be a scalar or array of real separations, including 0 (taken
     as the fully blockaded limit of the potential); the triple components
-    match its shape.  ``omega`` must be nonzero; the CW response is
-    ``chi0_cw``.
+    match its shape, and a scalar gives the bits of the matching array
+    element.  ``omega`` must be nonzero; the CW response is ``chi0_cw``.
 
     Raises
     ------
     SusceptibilityPoleError
-        If the shared denominator vanishes at this (dz, omega).
+        If the shared denominator vanishes; it names the first offending dz.
     """
     if scales is None:
         scales = derive_scales(config, allow_oversized_blockade=True)
-    V = _vdw_or_inf(dz, config)
-    try:
-        chi_r, chi_l, chi_c = _chi_arrays(V, omega, config, scales)
-    except SusceptibilityPoleError as err:
-        err.dz = dz
-        raise
-    if np.ndim(dz) == 0:
-        return SusceptibilityTriple(complex(chi_r), complex(chi_l), complex(chi_c))
-    return SusceptibilityTriple(chi_r, chi_l, chi_c)
+    chi = _chi_arrays(np.atleast_1d(dz), omega, config, scales)
+    return _triple(*chi, scalar=np.ndim(dz) == 0)
 
 
 def free_susceptibilities(
@@ -185,14 +168,13 @@ def free_susceptibilities(
     """Susceptibilities of the gate-free medium (V identically zero).
 
     ``omega`` may be a scalar or an array of nonzero frequencies; the triple
-    components match its shape.
+    components match its shape, and a scalar gives the bits of the matching
+    array element.
     """
     if scales is None:
         scales = derive_scales(config, allow_oversized_blockade=True)
-    chi_r, chi_l, chi_c = _chi_arrays(0.0, omega, config, scales)
-    if np.ndim(omega) == 0:
-        return SusceptibilityTriple(complex(chi_r), complex(chi_l), complex(chi_c))
-    return SusceptibilityTriple(chi_r, chi_l, chi_c)
+    chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, scales)
+    return _triple(*chi, scalar=np.ndim(omega) == 0)
 
 
 def chi0_cw(dz, scales: DerivedScales):

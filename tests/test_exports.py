@@ -1,5 +1,6 @@
 """The package namespace re-exports exactly the library modules' public names,
-and no library module imports a name it neither uses nor exports."""
+no library module imports a name it neither uses nor exports, and every
+module-level private name has a reader."""
 
 import ast
 import importlib
@@ -46,3 +47,30 @@ def test_every_import_is_used_or_exported():
         exported = set(getattr(module, "__all__", ()))
         unused = sorted(imported - used - exported)
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_private_name_is_read():
+    # stdlib stand-in for a linter's dead-code rule: a module-level `_name`
+    # (constant, function or class) must be read somewhere in the package
+    defined, read = {}, set()
+    for path in sorted(Path(polsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(f"{where}: {name}" for name, where in defined.items() if name not in read)
+    assert not unread, f"private names nothing reads: {unread}"

@@ -82,12 +82,17 @@ class TestPropagationMatrix:
             assert d0 == pytest.approx(want, rel=1e-12)
 
     def test_array_input_matches_scalars(self):
-        cfg = make_config(2.0)
-        zs = np.array([10.0, 12.0, 13.7])
-        stacked = propagation_matrix(zs, 12.0, 0.25, cfg)
-        assert stacked.shape == (3, 2, 2)
-        for i, z in enumerate(zs):
-            assert np.array_equal(stacked[i], propagation_matrix(z, 12.0, 0.25, cfg))
+        # a scalar z gives the bits of the matching array element
+        rng = np.random.default_rng(5)
+        zs = np.concatenate([[10.0, 12.0, 13.7], rng.uniform(0.0, 24.0, 200)])
+        for phi in (0.0, 1.3):
+            cfg = make_config(2.0, phi=phi)
+            for cw in (False, True):
+                stacked = propagation_matrix(zs, 12.0, 0.25, cfg, cw=cw)
+                assert stacked.shape == (zs.size, 2, 2)
+                for i, z in enumerate(zs):
+                    scalar = propagation_matrix(float(z), 12.0, 0.25, cfg, cw=cw)
+                    assert np.array_equal(stacked[i], scalar)
 
 
 class TestSolveBvpCw:

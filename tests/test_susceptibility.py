@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polsim.core_model import PhysicalConfig, derive_scales
-from polsim.errors import SingularFrequencyError
+from polsim.errors import SingularFrequencyError, SusceptibilityPoleError
 from polsim.susceptibility import (
     NU_INFINITY,
     _vdw_or_inf,
@@ -58,8 +58,14 @@ class TestXi:
             xi(0.0, make_config())
 
 
-def _symbolic_triple(dz, omega, cfg):
-    """Independent route: literal formulas via sympy at 30 digits."""
+def _symbolic_triple(dz, omega, cfg, crossing=False):
+    """Independent route: literal formulas via sympy in exact rationals.
+
+    The inputs enter as the exact values of their doubles and the result is
+    evaluated to 30 digits.  Where the literal formulas are singular, the
+    value is a limit in ``V``: ``V -> oo`` at the gate point ``dz = 0``, and
+    ``V -> omega`` at the crossing (``crossing=True``, ``dz`` ignored).
+    """
     w, g, Om, OmS, G, c, V = sympy.symbols("w g Om OmS G c V")
     xi_s = w + sympy.I * g - Om**2 / w
     s = OmS**2 / (w - V)
@@ -68,28 +74,49 @@ def _symbolic_triple(dz, omega, cfg):
     chi_l = w / c - (G**2 / c) * xi_s / D
     chi_c = (G**2 / c) * (Om**2 / w) / D
     subs = {
-        w: sympy.Float(omega, 30),
-        g: sympy.Float(cfg.gamma, 30),
-        Om: sympy.Float(cfg.Omega, 30),
-        OmS: sympy.Float(cfg.OmegaS, 30),
-        G: sympy.Float(cfg.G, 30),
-        c: sympy.Float(cfg.c, 30),
-        V: sympy.Float(cfg.C6, 30) / sympy.Float(dz, 30) ** 6,
+        sym: sympy.Rational(value)
+        for sym, value in (
+            (w, omega), (g, cfg.gamma), (Om, cfg.Omega), (OmS, cfg.OmegaS),
+            (G, cfg.G), (c, cfg.c),
+        )
     }
+    if crossing:
+        at = subs[w]
+    elif dz == 0.0:
+        at = sympy.oo
+    else:
+        at = sympy.Rational(cfg.C6) / sympy.Rational(dz) ** 6
     z_b = derive_scales(cfg, allow_oversized_blockade=True).z_b
-    return tuple(complex(z_b * expr.subs(subs).evalf(30)) for expr in (chi_r, chi_l, chi_c))
+    out = []
+    for expr in (chi_r, chi_l, chi_c):
+        expr = expr.subs(subs)
+        val = sympy.limit(expr, V, at) if crossing or dz == 0.0 else expr.subs(V, at)
+        out.append(complex(z_b * val.evalf(30)))
+    return tuple(out)
 
 
 class TestSusceptibilities:
+    def _assert_matches_oracle(self, dz, omega, crossing=False):
+        got = susceptibilities(dz, omega, CFG, SCALES)
+        want = _symbolic_triple(dz, omega, CFG, crossing=crossing)
+        for g, wv in zip((got.chi_r, got.chi_l, got.chi_c), want):
+            assert abs(g - wv) <= 1e-12 * max(1.0, abs(wv))
+
     def test_matches_symbolic_oracle_at_random_points(self):
         rng = np.random.default_rng(7)
         for _ in range(6):
             dz = float(rng.uniform(0.3, 4.0))
             omega = float(rng.uniform(0.05, 2.0) * (1 if rng.random() < 0.5 else -1))
-            got = susceptibilities(dz, omega, CFG, SCALES)
-            want = _symbolic_triple(dz, omega, CFG)
-            for g, wv in zip((got.chi_r, got.chi_l, got.chi_c), want):
-                assert abs(g - wv) <= 1e-12 * max(1.0, abs(wv))
+            self._assert_matches_oracle(dz, omega)
+        for omega in (-1.3, 0.05, 0.7):
+            # gate point (V = oo), V = 4e18, nearly free medium
+            for dz in (0.0, 1e-3, 50.0):
+                self._assert_matches_oracle(dz, omega)
+        # the crossing V == omega, where the bare detuned-leg term has a
+        # cancelling pole
+        for omega in (0.05, 0.7, 3.0):
+            dz = (CFG.C6 / omega) ** (1.0 / 6.0)
+            self._assert_matches_oracle(dz, omega, crossing=True)
 
     def test_blockaded_point_tends_to_cw_kernel(self):
         # At the gate point the leg is fully blockaded; as omega -> 0+ the
@@ -125,7 +152,11 @@ class TestSusceptibilities:
         assert abs(t2.chi_r) < 1e-4 * SCALES.d_b
 
     def test_free_susceptibilities_broadcast_over_omega(self):
-        omegas = np.array([-3.0, -0.3, 1e-6, 0.5, 7.0])
+        # a scalar gives the bits of the matching array element
+        rng = np.random.default_rng(11)
+        omegas = np.concatenate(
+            [[-3.0, -0.3, 1e-6, 0.5, 7.0], rng.uniform(-5.0, 5.0, 200)]
+        )
         arrays = free_susceptibilities(omegas, CFG, SCALES)
         for i, omega in enumerate(omegas):
             scalar = free_susceptibilities(float(omega), CFG, SCALES)
@@ -133,7 +164,7 @@ class TestSusceptibilities:
                 (arrays.chi_r, arrays.chi_l, arrays.chi_c),
                 (scalar.chi_r, scalar.chi_l, scalar.chi_c),
             ):
-                assert abs(a[i] - b) <= 1e-14 * abs(b)
+                assert a[i] == b
         with pytest.raises(SingularFrequencyError):
             free_susceptibilities(np.array([0.5, 0.0]), CFG, SCALES)
 
@@ -144,6 +175,22 @@ class TestSusceptibilities:
     def test_zero_frequency_refused(self):
         with pytest.raises(SingularFrequencyError):
             susceptibilities(1.0, 0.0, CFG, SCALES)
+
+    def test_pole_error_names_the_offending_point(self):
+        # With gamma > 0 the denominator never vanishes exactly; the check
+        # fires only when omega comes within about 1e-13 * Omega**2 / gamma of
+        # the removable singularity at omega = 0, and there only where V is
+        # large (the gate point, or dz = 1e-3 with V = 1e18).
+        unit = make_config(G=math.sqrt(5.0), Omega=1.0, OmegaS=1.0, C6=1.0)
+        with pytest.raises(SusceptibilityPoleError) as info:
+            susceptibilities(np.array([3.0, 1e-3, 5.0]), 1e-14, unit)
+        assert info.value.dz == 1e-3
+        assert info.value.omega == 1e-14
+        with pytest.raises(SusceptibilityPoleError) as info:
+            susceptibilities(0.0, 1e-14, unit)
+        assert info.value.dz == 0.0
+        t = susceptibilities(np.array([3.0, 1e-3, 5.0]), 1e-12, unit)
+        assert np.all(np.isfinite(t.chi_r))
 
 
 class TestChi0Cw:
