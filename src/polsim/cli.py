@@ -93,10 +93,20 @@ def _check_keys(obj: dict, required, optional, where: str) -> None:
         raise SchemaError(f"missing required key(s) in {where}: {', '.join(missing)}")
 
 
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (JSON reads 1e400 as inf)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}.{key} must be a number, got {value!r}")
+    if not _finite(value):
+        raise SchemaError(f"{where}.{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -111,9 +121,8 @@ def _integer(params: dict, key: str, minimum: int = 1) -> int:
 
 def _number_list(params: dict, key: str) -> list[float]:
     values = params[key]
-    if (not isinstance(values, list) or not values
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
-        raise SchemaError(f"task_params.{key} must be a nonempty list of numbers")
+    if not isinstance(values, list) or not values or not all(map(_finite, values)):
+        raise SchemaError(f"task_params.{key} must be a nonempty list of finite numbers")
     return sorted(float(v) for v in values)
 
 
@@ -259,7 +268,11 @@ def _run_spectrum(cfg, scales, params):
     if regime not in REGIMES:
         raise SchemaError(f"task_params.regime must be one of {REGIMES}, got {regime!r}")
     kmax = _number(params, "kmax_labs", "task_params")
+    if kmax <= 0.0:
+        raise SchemaError(f"task_params.kmax_labs must be positive, got {kmax!r}")
     n_k = _integer(params, "n_k", minimum=3)
+    if n_k % 2 == 0:
+        raise SchemaError(f"task_params.n_k must be odd so the grid holds k = 0, got {n_k}")
     branches = spectrum(default_k_grid(cfg, kmax_labs=kmax, n=n_k), regime, cfg)
     sizes = [branch.k_samples.size for branch in branches]
     omega = np.concatenate([branch.omega for branch in branches])
@@ -306,7 +319,7 @@ def _run_t0(cfg, scales, params):
 
 def _run_propagate(cfg, scales, params):
     omega = _number(params, "omega", "task_params")
-    result = solve_bvp(omega, cfg.x_gate, cfg, scales=scales, cw=(omega == 0.0))
+    result = solve_bvp(omega, cfg.x_gate, cfg, scales=scales)
     er, el = result.field.e_right, result.field.e_left
     columns = [
         result.field.z,
@@ -387,8 +400,8 @@ def _run_fidelity(cfg, scales, params):
     omega_grid = None
     if params["durations"] is not None:
         durations = tuple(_number_list(params, "durations"))
-        if not all(math.isfinite(d) and d > 0.0 for d in durations):
-            raise SchemaError("task_params.durations must be positive and finite")
+        if not all(d > 0.0 for d in durations):
+            raise SchemaError("task_params.durations must be positive")
         for key in ("omega_min", "omega_max", "n_omega"):
             if params[key] is None:
                 raise SchemaError(f"task_params.{key} is required when durations are given")

@@ -81,6 +81,8 @@ class PhysicalConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be a finite number, got {self.phi!r}")
         if not (0.0 <= self.x_gate <= self.L):
             raise ValueError(
                 f"x_gate must lie inside the medium [0, {self.L}], got {self.x_gate!r}"

@@ -16,11 +16,11 @@ diagonal, so every eigenvalue satisfies Im(omega) <= 0.
 from __future__ import annotations
 
 import cmath
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core_model import PhysicalConfig, derive_scales
 from .errors import FitWindowError, FitWindowWarning, GridError
@@ -108,7 +108,8 @@ class PolaritonBranch:
 
     ``k_samples`` holds the dimensionless momenta ``k * l_abs`` and ``omega``
     the eigenvalues in units of ``gamma``; ``vectors[i]`` is the unit
-    eigenvector at ``k_samples[i]``.
+    eigenvector at ``k_samples[i]``, whose overall phase is arbitrary at
+    each ``k`` (the eigensolver's choice); ``|vectors|**2`` is phase-free.
     """
 
     branch_id: int
@@ -146,68 +147,57 @@ def spectrum(
 ) -> list[PolaritonBranch]:
     """Eigenbranches over a symmetric momentum grid, tracked by eigenvectors.
 
-    Branches are followed outward from k = 0 by maximum-overlap assignment of
-    consecutive eigenvector frames (never by eigenvalue sorting, which swaps
-    branches at crossings).  Near-ties between overlaps are reported as
-    warnings carrying the offending momentum.
+    Branches are followed outward from k = 0, never by eigenvalue sorting,
+    which swaps branches at crossings.  Each step from a grid point to its
+    outward neighbour scores the overlaps |<previous|next>| of their unit
+    eigenvectors and takes the assignment with the largest summed overlap,
+    found exactly by scoring all dim! permutations (720 in the free regime).
+    Near-ties between overlaps are reported as warnings carrying the
+    offending momentum, the k > 0 side first, each side from k = 0 outward.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     i0 = _validate_k_grid(k_grid)
     scales = derive_scales(config, allow_oversized_blockade=True)
-    gamma = config.gamma
-    all_vals, all_vecs = np.linalg.eig(build_bloch_matrix(k_grid, regime, config))
+    vals, vecs = np.linalg.eig(build_bloch_matrix(k_grid, regime, config))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    n_k, dim = vals.shape
 
-    n_k, dim = all_vals.shape
-    omegas = np.empty((n_k, dim), dtype=np.complex128)
-    vectors = np.empty((n_k, dim, dim), dtype=np.complex128)
+    # step s goes from grid point prev[s] to its outward neighbour cur[s]
+    cur = np.r_[i0 + 1 : n_k, i0 - 1 : -1 : -1]
+    prev = cur - np.sign(cur - i0)
+    overlap = np.abs(vecs[prev].conj().transpose(0, 2, 1) @ vecs[cur])
+    perms = np.array(list(itertools.permutations(range(dim))))
+    score = sum(overlap[:, a, perms[:, a]] for a in range(dim))
+    moves = perms[np.argmax(score, axis=1)]
+    top = np.sort(overlap, axis=2)
+    ambiguous = np.any(top[..., -1] - top[..., -2] < _AMBIGUITY_TOL, axis=1)
 
-    vals, vecs = all_vals[i0], all_vecs[i0]
-    order = np.lexsort((vals.real, np.abs(vals)))
-    omegas[i0] = vals[order] / gamma
-    vectors[i0] = (vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)).T
-
-    def step(i_prev, i):
-        vals = all_vals[i]
-        vecs = all_vecs[i] / np.linalg.norm(all_vecs[i], axis=0)
-        overlap = np.abs(vectors[i_prev].conj() @ vecs)
-        row, col = linear_sum_assignment(-overlap)
-        perm = np.empty(dim, dtype=int)
-        perm[row] = col
-        top = np.sort(overlap, axis=1)
-        if np.any(top[:, -1] - top[:, -2] < _AMBIGUITY_TOL):
+    # order[i, b] is the eigenvalue index of branch b at grid point i
+    order = np.empty((n_k, dim), dtype=int)
+    order[i0] = np.lexsort((vals[i0].real, np.abs(vals[i0])))
+    for s, i in enumerate(cur):
+        order[i] = moves[s, order[prev[s]]]
+        if ambiguous[s]:
             warnings.warn(
                 "branch tracking ambiguous at k*l_abs = "
                 f"{k_grid[i] * scales.l_abs:.6g}",
                 stacklevel=2,
             )
-        for b in range(dim):
-            v = vecs[:, perm[b]]
-            phase = vectors[i_prev][b].conj() @ v
-            if phase != 0.0:
-                v = v * (phase.conjugate() / abs(phase))
-            vectors[i][b] = v
-            omegas[i][b] = vals[perm[b]] / gamma
-
-    for i in range(i0 + 1, n_k):
-        step(i - 1, i)
-    for i in range(i0 - 1, -1, -1):
-        step(i + 1, i)
+    omegas = np.take_along_axis(vals, order, axis=1) / config.gamma
+    tracked = np.take_along_axis(vecs, order[:, None, :], axis=2)
 
     k_labs = k_grid * scales.l_abs
-    branches = []
-    for b in range(dim):
-        kind = "dark" if abs(omegas[i0, b]) < _DARK_TOL else "bright"
-        branches.append(
-            PolaritonBranch(
-                branch_id=b,
-                regime=regime,
-                kind=kind,
-                k_samples=k_labs.copy(),
-                omega=omegas[:, b].copy(),
-                vectors=vectors[:, b, :].copy(),
-            )
+    return [
+        PolaritonBranch(
+            branch_id=b,
+            regime=regime,
+            kind="dark" if abs(omegas[i0, b]) < _DARK_TOL else "bright",
+            k_samples=k_labs.copy(),
+            omega=omegas[:, b].copy(),
+            vectors=tracked[:, :, b].copy(),
         )
-    return branches
+        for b in range(dim)
+    ]
 
 
 def composition(eigenvector: np.ndarray):

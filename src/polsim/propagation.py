@@ -46,7 +46,6 @@ from .errors import (
     GridError,
     IllConditionedError,
     QuadratureError,
-    SingularFrequencyError,
 )
 from .susceptibility import (
     NU_INFINITY,
@@ -124,21 +123,20 @@ class ScatterResult:
         return self._build_field()
 
 
-def propagation_matrix(z, x, omega, config, scales=None, cw=False):
+def propagation_matrix(z, x, omega, config, scales=None):
     """Coefficient matrix M with i d(E_right, E_left)/d zeta = M (E_right, E_left).
 
     Structure ``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``,
     per unit zeta = z / z_b.  ``z`` may be a scalar or array of physical
     positions; the returned array has shape ``z.shape + (2, 2)``, and a
-    scalar ``z`` gives the bits of the matching array element.  With
-    ``cw=True`` the exact zero-frequency kernel is used (the three
-    susceptibilities collapse to chi_r = -chi_l = -chi_c) and ``omega`` is
-    ignored.
+    scalar ``z`` gives the bits of the matching array element.  At
+    ``omega == 0`` the exact zero-frequency (cw) kernel is used: the three
+    susceptibilities collapse to chi_r = -chi_l = -chi_c.
     """
     if scales is None:
         scales = derive_scales(config)
     dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
-    if cw:
+    if omega == 0.0:
         k = chi0_cw(dz, scales)
         m = _coefficient_matrix(k, -k, -k, config.phi)
     else:
@@ -249,29 +247,21 @@ def _suffix_products(updates):
     return p
 
 
-def solve_bvp(omega, x, config, cw=False, scales=None):
+def solve_bvp(omega, x, config, scales=None):
     """Scattering of a unit probe at frequency ``omega`` off a gate at ``x``.
 
     Boundary conditions: E_right(0) = 1 and E_left(L) = 0.  ``omega = 0``
-    is refused unless ``cw=True``, which solves the regular zero-frequency
-    problem instead (and demands ``omega = 0`` for honesty in the result).
+    solves the regular zero-frequency (cw) problem numerically;
+    ``cw_analytic`` is its closed form.
     """
     if scales is None:
         scales = derive_scales(config)
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
-    if cw:
-        if omega != 0.0:
-            raise ValueError("cw=True solves omega = 0; pass omega=0.0")
-    elif omega == 0.0:
-        raise SingularFrequencyError(
-            "omega = 0 is a removable singularity of the finite-frequency "
-            "response; request the cw solution with cw=True"
-        )
 
     def coefficients(points):
         # -1j M as a C-ordered component stack, one evaluation per point
-        m = propagation_matrix(points * scales.z_b, x, omega, config, scales, cw)
+        m = propagation_matrix(points * scales.z_b, x, omega, config, scales)
         return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
 
     def product(level, nodes, a_nodes, a_mid):

@@ -145,6 +145,19 @@ class TestSpectrumTask:
         assert len(dark_ids) == 1
         assert len(rows) == 1 + 5 * 41
 
+    def test_ambiguous_tracking_is_listed_in_the_manifest(self, tmp_path):
+        physical = dict(PHYSICAL, G=0.5, Omega=0.5)
+        cfg = write_config(
+            tmp_path, physical=physical, task="spectrum",
+            task_params={"regime": "blockaded", "n_k": 41, "kmax_labs": 2.0},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["spectrum", "--config", str(cfg)]) == 0
+        assert read_manifest(tmp_path / "out")["warnings"] == [
+            "branch tracking ambiguous at k*l_abs = 0.8",
+            "branch tracking ambiguous at k*l_abs = -0.8",
+        ]
+
 
 class TestT0Task:
     def test_width_fit_recorded(self, tmp_path):
@@ -168,9 +181,9 @@ class TestPropagateTask:
         calls = []
         solve_bvp = polsim.cli.solve_bvp
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("cw"))
-            return solve_bvp(*args, **kwargs)
+        def spy(omega, *args, **kwargs):
+            calls.append(omega)
+            return solve_bvp(omega, *args, **kwargs)
 
         def never(*args, **kwargs):
             raise AssertionError("propagate must solve the cw problem numerically")
@@ -182,7 +195,7 @@ class TestPropagateTask:
             task_params={"omega": 0.0}, output_dir=str(tmp_path / "out"),
         )
         assert main(["propagate", "--config", str(cfg)]) == 0
-        assert calls == [True]
+        assert calls == [0.0]
         manifest = read_manifest(tmp_path / "out")
         closed = cw_analytic(PHYSICAL["x_gate"], PhysicalConfig(**PHYSICAL))
         assert manifest["reflection"]["abs"] == pytest.approx(
@@ -379,6 +392,37 @@ class TestSchemaAndExitCodes:
             task_params={**params, key: "abc"}, output_dir=str(out),
         )
         assert main([task, "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, section, key, literal", [
+        ("cw", "task_params", "d_b_max", "1e400"),
+        pytest.param("cw", "task_params", "d_b_max", "1" + "0" * 400, id="cw-int-overflow"),
+        ("cw", "physical", "phi", "NaN"),
+        ("cw", "physical", "phi", "-Infinity"),
+        ("fidelity", "task_params", "d_b_max", "1e400"),
+        ("t0", "task_params", "omega_min", "-1e400"),
+        ("scan", "task_params", "values", "[4.0, 1e400]"),
+        ("spectrum", "task_params", "kmax_labs", "Infinity"),
+        ("spectrum", "task_params", "kmax_labs", "0"),
+        ("spectrum", "task_params", "kmax_labs", "-2.0"),
+        ("spectrum", "task_params", "n_k", "400"),
+    ])
+    def test_non_finite_or_out_of_range_value_exits_2(self, tmp_path, task, section, key, literal):
+        # JSON reads 1e400 as inf and accepts NaN and Infinity
+        params = {
+            "cw": {"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4},
+            "fidelity": {"d_b_min": 1.0, "d_b_max": 10.0, "n_db": 10},
+            "t0": {"omega_min": -1.0, "omega_max": 1.0, "n_omega": 5},
+            "scan": {"parameter": "x_gate", "values": [4.0], "observable": "cw_point"},
+            "spectrum": {"regime": "free", "n_k": 41},
+        }[task]
+        config = {"physical": dict(PHYSICAL, L=5.0, x_gate=2.5), "task": task,
+                  "task_params": params}
+        config[section][key] = "@"
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"@"', literal))
+        assert main([task, "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("durations", [[-1.0, 5.0], [0.0, 1.0], [1.0, math.inf], [math.nan]])

@@ -33,6 +33,11 @@ class TestPhysicalConfig:
         cfg = make_config(phi=-0.25)
         assert cfg.phi == pytest.approx(2.0 * math.pi - 0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phase(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            make_config(phi=phi)
+
     @pytest.mark.parametrize("field", ["G", "Omega", "OmegaS", "gamma", "c", "C6", "L"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):

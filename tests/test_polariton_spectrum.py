@@ -46,6 +46,29 @@ def charpoly_coefficients(a):
     return np.array(coeffs)
 
 
+def sequential_tracker(k_grid, regime, cfg):
+    """Branch tracking one step at a time with ``linear_sum_assignment``.
+
+    Each step outward from k = 0 assigns the unit eigenvectors of the next
+    grid point to the branches by the largest summed overlap with the
+    branch vectors of the previous point.  Returns the branch eigenvalues in
+    units of gamma, shape (n_k, dim).
+    """
+    vals, vecs = np.linalg.eig(build_bloch_matrix(k_grid, regime, cfg))
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    n_k, dim = vals.shape
+    i0 = n_k // 2
+    order = np.empty((n_k, dim), dtype=int)
+    order[i0] = np.lexsort((vals[i0].real, np.abs(vals[i0])))
+    for i_prev, i in [(i - 1, i) for i in range(i0 + 1, n_k)] + [
+        (i + 1, i) for i in range(i0 - 1, -1, -1)
+    ]:
+        overlap = np.abs(vecs[i_prev][:, order[i_prev]].conj().T @ vecs[i])
+        row, col = linear_sum_assignment(-overlap)
+        order[i, row] = col
+    return np.take_along_axis(vals, order, axis=1) / cfg.gamma
+
+
 def assert_same_multiset(a, b, tol):
     cost = np.abs(a[:, None] - b[None, :])
     row, col = linear_sum_assignment(cost)
@@ -177,6 +200,43 @@ class TestSpectrum:
         for a, b in zip(lo, hi):
             assert a.real == pytest.approx(-b.real, abs=1e-9)
             assert a.imag == pytest.approx(b.imag, abs=1e-9)
+
+    def test_permutation_search_matches_sequential_assignment(self):
+        # where no overlap is ambiguous the exact permutation argmax and the
+        # sequential linear_sum_assignment tracker pick the same branches
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(60):
+            cfg = make_config(
+                G=float(10.0 ** rng.uniform(-0.7, 0.7)),
+                Omega=float(10.0 ** rng.uniform(-0.7, 0.7)),
+                OmegaS=float(10.0 ** rng.uniform(-0.7, 0.7)),
+                gamma=float(10.0 ** rng.uniform(-0.5, 0.5)),
+                phi=float(rng.uniform(0.0, 2.0 * np.pi)),
+            )
+            n_k = 2 * int(rng.integers(10, 100)) + 1
+            grid = default_k_grid(cfg, float(rng.uniform(0.5, 4.0)), n_k)
+            for regime in ("free", "blockaded"):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    branches = spectrum(grid, regime, cfg)
+                if caught:
+                    continue
+                tracked = np.column_stack([b.omega for b in branches])
+                assert np.array_equal(tracked, sequential_tracker(grid, regime, cfg))
+                compared += 1
+        assert compared >= 90  # 98 of the 120 runs raise no warning
+
+    def test_ambiguous_overlaps_warn_outward_from_zero(self):
+        cfg = make_config(G=0.5, Omega=0.5, OmegaS=1.0)
+        grid = default_k_grid(cfg, 2.0, 41)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spectrum(grid, "blockaded", cfg)
+        assert [str(w.message) for w in caught] == [
+            "branch tracking ambiguous at k*l_abs = 0.8",
+            "branch tracking ambiguous at k*l_abs = -0.8",
+        ]
 
     def test_grid_validation(self):
         cfg = make_config()

@@ -24,7 +24,6 @@ from polsim.errors import (
     IllConditionedError,
     PolsimError,
     QuadratureError,
-    SingularFrequencyError,
 )
 from polsim.propagation import (
     _build_nodes,
@@ -54,13 +53,13 @@ def make_config(d_b, L=24.0, **overrides):
 class TestPropagationMatrix:
     def test_cw_matrix_at_gate_point(self):
         cfg = make_config(5.0)
-        m = propagation_matrix(12.0, 12.0, 0.0, cfg, cw=True)
+        m = propagation_matrix(12.0, 12.0, 0.0, cfg)
         want = (-2.5j) * np.array([[1.0, -1.0], [1.0, -1.0]])
         assert np.allclose(m, want, atol=1e-14)
 
     def test_cw_matrix_vanishes_far_from_gate(self):
         cfg = make_config(5.0)
-        m = propagation_matrix(22.0, 12.0, 0.0, cfg, cw=True)
+        m = propagation_matrix(22.0, 12.0, 0.0, cfg)
         assert np.max(np.abs(m)) < 1e-4
 
     def test_determinant_is_phase_free(self):
@@ -87,11 +86,11 @@ class TestPropagationMatrix:
         zs = np.concatenate([[10.0, 12.0, 13.7], rng.uniform(0.0, 24.0, 200)])
         for phi in (0.0, 1.3):
             cfg = make_config(2.0, phi=phi)
-            for cw in (False, True):
-                stacked = propagation_matrix(zs, 12.0, 0.25, cfg, cw=cw)
+            for omega in (0.25, 0.0):
+                stacked = propagation_matrix(zs, 12.0, omega, cfg)
                 assert stacked.shape == (zs.size, 2, 2)
                 for i, z in enumerate(zs):
-                    scalar = propagation_matrix(float(z), 12.0, 0.25, cfg, cw=cw)
+                    scalar = propagation_matrix(float(z), 12.0, omega, cfg)
                     assert np.array_equal(stacked[i], scalar)
 
 
@@ -100,7 +99,7 @@ class TestSolveBvpCw:
         for d_b in (0.5, 1.0, 2.0, 5.0, 10.0):
             cfg = make_config(d_b)
             for x in (8.0, 12.0, 16.0):
-                res = solve_bvp(0.0, x, cfg, cw=True)
+                res = solve_bvp(0.0, x, cfg)
                 assert res.segments == 1
                 stride = max(1, res.field.z.size // 20)
                 sample = res.field.z[::stride]
@@ -129,10 +128,6 @@ class TestSolveBvpCw:
 
     def test_input_validation(self):
         cfg = make_config(1.0)
-        with pytest.raises(SingularFrequencyError):
-            solve_bvp(0.0, 12.0, cfg)
-        with pytest.raises(ValueError):
-            solve_bvp(0.3, 12.0, cfg, cw=True)
         with pytest.raises(ValueError):
             solve_bvp(0.3, -1.0, cfg)
         with pytest.raises(ValueError):
@@ -220,13 +215,13 @@ def halved(nodes):
     return np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
 
 
-def rk4_steps(nodes, omega, x, config, cw=False):
+def rk4_steps(nodes, omega, x, config):
     """(n, 2, 2) RK4 steps between ``nodes``, each coefficient evaluated afresh."""
     scales = derive_scales(config)
     eye = np.eye(2, dtype=complex)
     z = nodes * scales.z_b
     a1, a2, a3 = (
-        -1j * propagation_matrix(pts, x, omega, config, scales, cw)
+        -1j * propagation_matrix(pts, x, omega, config, scales)
         for pts in (z[:-1], 0.5 * (z[:-1] + z[1:]), z[1:])
     )
     h = np.diff(nodes)[:, None, None]
@@ -237,7 +232,7 @@ def rk4_steps(nodes, omega, x, config, cw=False):
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_steps(omega, x, config, cw=False):
+def reference_steps(omega, x, config):
     """Nodes (in blockade radii) and (n, 2, 2) RK4 steps of the accepted level.
 
     Same nodes, RK4 scheme and Richardson test as ``solve_bvp``, but each
@@ -246,10 +241,10 @@ def reference_steps(omega, x, config, cw=False):
     """
     scales = derive_scales(config)
     nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b)
-    phi = tree(rk4_steps(nodes, omega, x, config, cw))
+    phi = tree(rk4_steps(nodes, omega, x, config))
     for _ in range(propagation._MAX_REFINEMENTS):
         nodes = halved(nodes)
-        u = rk4_steps(nodes, omega, x, config, cw)
+        u = rk4_steps(nodes, omega, x, config)
         phi_f = tree(u)
         err = np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
         phi = phi_f
@@ -260,7 +255,7 @@ def reference_steps(omega, x, config, cw=False):
     return nodes, u
 
 
-def reference_solve(omega, x, config, cw=False, shoot=False):
+def reference_solve(omega, x, config, shoot=False):
     """Straightforward solver the ratio-of-products kernel must reproduce.
 
     On the steps of ``reference_steps`` it takes T = Phi00 + Phi01 r and
@@ -269,7 +264,7 @@ def reference_solve(omega, x, config, cw=False, shoot=False):
     ``_REF_SEGMENTS`` segments and solves one block system for the
     interface values (multiple shooting).  Returns (t, r, z, psi).
     """
-    nodes, u = reference_steps(omega, x, config, cw)
+    nodes, u = reference_steps(omega, x, config)
     z = nodes * derive_scales(config).z_b
 
     def accumulate(u, psi0):
@@ -314,9 +309,9 @@ class TestKernelAgainstStackedReference:
     """The ratio-of-products kernel against ``reference_solve``."""
 
     @staticmethod
-    def assert_same(omega, x, cfg, cw=False, shoot=False):
-        res = solve_bvp(omega, x, cfg, cw=cw)
-        t, r, z, psi = reference_solve(omega, x, cfg, cw, shoot)
+    def assert_same(omega, x, cfg, shoot=False):
+        res = solve_bvp(omega, x, cfg)
+        t, r, z, psi = reference_solve(omega, x, cfg, shoot)
         assert abs(res.transmission - t) <= 1e-12
         assert abs(res.reflection - r) <= 1e-12
         assert np.array_equal(res.field.z, z)
@@ -336,7 +331,7 @@ class TestKernelAgainstStackedReference:
         self.assert_same(0.3, 12.0, make_config(5.0), shoot=True)
 
     def test_cw_kernel(self):
-        self.assert_same(0.0, 8.0, make_config(2.0), cw=True)
+        self.assert_same(0.0, 8.0, make_config(2.0))
 
 
 class TestAcceptedGridAgainstFinestGrid:
@@ -349,24 +344,24 @@ class TestAcceptedGridAgainstFinestGrid:
     """
 
     @pytest.mark.parametrize(
-        "omega, x, cfg, cw, refinements",
+        "omega, x, cfg, refinements",
         [
             *(
-                (omega, criterion_10_config().x_gate, criterion_10_config(), False, 1)
+                (omega, criterion_10_config().x_gate, criterion_10_config(), 1)
                 for omega in (-2.5e7, -2.5e6, -2.5e5, 2.5e5, 2.5e6, 2.5e7)
             ),
-            (0.0, 12.0, make_config(5.0), True, 1),
-            (0.45, 12.0, make_config(5.0), False, 4),
+            (0.0, 12.0, make_config(5.0), 1),
+            (0.45, 12.0, make_config(5.0), 4),
         ],
     )
-    def test_matches_finest_grid(self, omega, x, cfg, cw, refinements):
-        res = solve_bvp(omega, x, cfg, cw=cw)
+    def test_matches_finest_grid(self, omega, x, cfg, refinements):
+        res = solve_bvp(omega, x, cfg)
         assert res.refinements == refinements
         z_b = derive_scales(cfg).z_b
         nodes = _build_nodes(cfg.L / z_b, x / z_b)
         for _ in range(propagation._MAX_REFINEMENTS):
             nodes = halved(nodes)
-        u = rk4_steps(nodes, omega, x, cfg, cw)
+        u = rk4_steps(nodes, omega, x, cfg)
         phi = tree(u)
         r = -phi[1, 0] / phi[1, 1]
         t = np.prod(np.linalg.det(u)) / phi[1, 1]
