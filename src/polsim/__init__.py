@@ -20,7 +20,6 @@ from .errors import (
     FitWindowWarning,
     GridError,
     IllConditionedError,
-    OversizedBlockadeError,
     PolsimError,
     PositivityWarning,
     QuadratureError,
@@ -111,7 +110,7 @@ __all__ = [
     "fidelity_report",
     # errors
     "PolsimError", "SingularFrequencyError", "SusceptibilityPoleError",
-    "QuadratureError", "OversizedBlockadeError", "IllConditionedError",
-    "FitWindowError", "GridError", "SchemaError",
+    "QuadratureError", "IllConditionedError", "FitWindowError", "GridError",
+    "SchemaError",
     "FitWindowWarning", "PositivityWarning",
 ]

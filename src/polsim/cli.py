@@ -34,6 +34,7 @@ from .fidelity import (
 )
 from .polariton_spectrum import REGIMES, composition, default_k_grid, spectrum
 from .propagation import (
+    _magnitude,
     cw_analytic,
     cw_bulk_coefficients,
     fitted_transparency_width,
@@ -217,16 +218,6 @@ def _csv_text(header: list[str], columns) -> str:
     return "".join(parts)
 
 
-def _magnitude(z):
-    """``abs(z)`` and ``abs(z) ** 2`` of a complex array, rounded as Python does.
-
-    ``np.hypot`` is the ``hypot`` that ``abs(complex)`` calls, and
-    ``np.float_power`` calls ``pow`` as ``float ** 2`` does.
-    """
-    a = np.hypot(z.real, z.imag)
-    return a, np.float_power(a, 2.0)
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -296,7 +287,10 @@ def _run_spectrum(cfg, scales, params):
 
 
 def _run_t0(cfg, scales, params):
-    result = t0_spectrum(_grid(params, "omega", "n_omega"), cfg, scales)
+    fit_width = params["fit_width"]
+    if not isinstance(fit_width, bool):
+        raise SchemaError(f"task_params.fit_width must be true or false, got {fit_width!r}")
+    result = t0_spectrum(_grid(params, "omega", "n_omega"), cfg)
     t, r = result.transmission, result.reflection
     columns = [result.omega, t.real, t.imag, *_magnitude(t), r.real, r.imag, *_magnitude(r)]
     header = [
@@ -307,7 +301,7 @@ def _run_t0(cfg, scales, params):
         "abs_R0_sq (power)",
     ]
     extras = {}
-    if params["fit_width"]:
+    if fit_width:
         fitted = fitted_transparency_width(result)
         extras["width_fit"] = {
             "fitted (rad/s)": fitted,
@@ -319,7 +313,7 @@ def _run_t0(cfg, scales, params):
 
 def _run_propagate(cfg, scales, params):
     omega = _number(params, "omega", "task_params")
-    result = solve_bvp(omega, cfg.x_gate, cfg, scales=scales)
+    result = solve_bvp(omega, cfg.x_gate, cfg)
     er, el = result.field.e_right, result.field.e_left
     columns = [
         result.field.z,
@@ -342,7 +336,6 @@ def _run_propagate(cfg, scales, params):
         "absorption": result.absorption,
         "richardson_error": result.richardson_error,
         "refinements": result.refinements,
-        "segments": result.segments,
     }
     return {"propagate.csv": _csv_text(header, columns)}, extras
 
@@ -369,7 +362,7 @@ def _run_cw(cfg, scales, params):
 def _run_spinwave(cfg, scales, params):
     n = _integer(params, "n_samples", minimum=64)
     rho0 = initial_sine_mode(cfg.L, n)
-    evolved = evolve_cw(rho0, cfg, scales)
+    evolved = evolve_cw(rho0, cfg)
 
     def matrix_csv(matrix):
         header = ["x\\y (m)"] + [format(y, ".17g") for y in evolved.grid.tolist()]
@@ -467,8 +460,7 @@ def _run_scan(cfg, scales, params):
     else:
         def one(value):
             sub = dataclasses.replace(cfg, **{parameter: value})
-            sub_scales = derive_scales(sub, allow_oversized_blockade=True)
-            res = cw_analytic(sub.x_gate, sub, scales=sub_scales)
+            res = cw_analytic(sub.x_gate, sub)
             return (
                 value, abs(res.transmission), abs(res.transmission) ** 2,
                 abs(res.reflection), abs(res.reflection) ** 2, res.absorption,
@@ -550,7 +542,7 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
     outdir = Path(outdir)
 
     soft_warnings = []
-    scales = derive_scales(cfg, allow_oversized_blockade=True)
+    scales = derive_scales(cfg)
     if scales.z_b > cfg.L:
         soft_warnings.append(
             f"blockade radius {scales.z_b:.6g} exceeds medium length {cfg.L:.6g}; "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, OversizedBlockadeError
+from .errors import GridError
 
 __all__ = [
     "PhysicalConfig",
@@ -123,15 +123,12 @@ class DerivedScales:
     delta_omega0: float
 
 
-def derive_scales(config: PhysicalConfig, allow_oversized_blockade: bool = False) -> DerivedScales:
+def derive_scales(config: PhysicalConfig) -> DerivedScales:
     """Compute the derived scales of a configuration.
 
-    Raises
-    ------
-    OversizedBlockadeError
-        If ``z_b > L``: the blockade sphere does not fit inside the medium,
-        so bulk formulas quietly lose accuracy.  Pass
-        ``allow_oversized_blockade=True`` to proceed anyway.
+    A blockade radius longer than the medium (``z_b > L``) is returned as
+    is: every solver computes such a medium, and the command line records
+    the condition as a warning in the run manifest.
     """
     z_b = (config.C6 * config.gamma / config.OmegaS**2) ** (1.0 / 6.0)
     l_abs = config.c * config.gamma / config.G**2
@@ -141,11 +138,6 @@ def derive_scales(config: PhysicalConfig, allow_oversized_blockade: bool = False
     r2 = (config.Omega / config.OmegaS) ** 2
     bracket = (1.0 + 2.0 * r2 + 2.0 * r2**2) + 0.5 * d * r2**2
     delta_omega0 = gamma_eit / math.sqrt(bracket)
-    if z_b > config.L and not allow_oversized_blockade:
-        raise OversizedBlockadeError(
-            f"blockade radius z_b={z_b:.6g} exceeds the medium length L={config.L:.6g}; "
-            "pass allow_oversized_blockade=True to override"
-        )
     return DerivedScales(
         z_b=z_b,
         l_abs=l_abs,

@@ -9,7 +9,6 @@ __all__ = [
     "SingularFrequencyError",
     "SusceptibilityPoleError",
     "QuadratureError",
-    "OversizedBlockadeError",
     "IllConditionedError",
     "FitWindowError",
     "GridError",
@@ -49,14 +48,6 @@ class QuadratureError(PolsimError):
     def __init__(self, message, achieved=None):
         self.achieved = achieved
         super().__init__(message)
-
-
-class OversizedBlockadeError(PolsimError):
-    """Blockade radius exceeds the medium length.
-
-    Warning-class condition: callers that know what they are doing can
-    suppress it (the CLI records the override in the run manifest).
-    """
 
 
 class IllConditionedError(PolsimError):

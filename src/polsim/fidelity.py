@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_model import (
-    DerivedScales,
     PhysicalConfig,
     PulseSpec,
     derive_scales,
@@ -85,11 +84,7 @@ def blockade_gate_baseline(d_b: float) -> float:
     return math.exp(-5.0 * math.pi / (4.0 * d_b))
 
 
-def reflection_spectrum(
-    omega_grid: np.ndarray,
-    config: PhysicalConfig,
-    scales: DerivedScales | None = None,
-) -> np.ndarray:
+def reflection_spectrum(omega_grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
     """Gate-present reflection coefficient R1(omega) on a frequency grid.
 
     omega = 0 is evaluated through the closed CW form; finite detunings run
@@ -98,15 +93,12 @@ def reflection_spectrum(
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise GridError("frequency grid must be a nonempty 1-d array")
-    scales = scales or derive_scales(config)
     out = np.empty(omega_grid.size, dtype=complex)
     for i, omega in enumerate(omega_grid):
         if omega == 0.0:
-            out[i] = cw_analytic(config.x_gate, config, scales=scales).reflection
+            out[i] = cw_analytic(config.x_gate, config).reflection
         else:
-            out[i] = solve_bvp(
-                float(omega), config.x_gate, config, scales=scales
-            ).reflection
+            out[i] = solve_bvp(float(omega), config.x_gate, config).reflection
     return out
 
 
@@ -135,10 +127,10 @@ def _config_at_db(d_b: float, config: PhysicalConfig) -> PhysicalConfig:
     return replace(config, G=g_new)
 
 
-def _stored_mode_eta(config: PhysicalConfig, scales: DerivedScales, n_samples: int) -> float:
+def _stored_mode_eta(config: PhysicalConfig, n_samples: int) -> float:
     # the half-sine stored mode after CW scattering, in its best retrievable mode
     rho0 = initial_sine_mode(config.L, n_samples)
-    return retrieval_eta(evolve_cw(rho0, config, scales))
+    return retrieval_eta(evolve_cw(rho0, config))
 
 
 def transistor_fidelity(
@@ -158,7 +150,7 @@ def transistor_fidelity(
     if d_b <= 0.0:
         raise ValueError(f"d_b must be positive, got {d_b!r}")
     cfg = _config_at_db(d_b, config)
-    eta = _stored_mode_eta(cfg, derive_scales(cfg), n_samples)
+    eta = _stored_mode_eta(cfg, n_samples)
     return eta * switch_fidelities(d_b).quantum
 
 
@@ -170,7 +162,7 @@ def timing_estimates(config: PhysicalConfig) -> TimingEstimates:
     which-position entanglement.  Reconversion through an auxiliary medium
     of the same depth succeeds with d**2/(1+d)**2.
     """
-    scales = derive_scales(config, allow_oversized_blockade=True)
+    scales = derive_scales(config)
     tau = scales.d * (
         config.gamma / config.Omega**2 + config.gamma / config.OmegaS**2
     )
@@ -220,18 +212,17 @@ def fidelity_report(
     pulse per duration.  The dispersive gate baseline is reported only at
     feasible depths (d_b >= PI_PHASE_MIN_DB), None otherwise.
     """
-    scales = derive_scales(config)
-    d_b = scales.d_b
+    d_b = derive_scales(config).d_b
     switches = switch_fidelities(d_b, config.phi)
     baseline = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
 
-    eta = _stored_mode_eta(config, scales, n_samples)
+    eta = _stored_mode_eta(config, n_samples)
 
     pulse_f: dict[float, float] = {}
     if durations:
         if omega_grid is None:
             raise GridError("omega_grid is required when durations are given")
-        r1 = reflection_spectrum(omega_grid, config, scales)
+        r1 = reflection_spectrum(omega_grid, config)
         for duration in durations:
             pulse = gaussian_pulse_spectrum(duration, omega_grid)
             pulse_f[duration] = pulse_router_fidelity(pulse, r1)

@@ -122,7 +122,7 @@ class PolaritonBranch:
 
 def default_k_grid(config: PhysicalConfig, kmax_labs: float = 2.0, n: int = 401) -> np.ndarray:
     """Symmetric momentum grid spanning ``k * l_abs`` in [-kmax, kmax]."""
-    scales = derive_scales(config, allow_oversized_blockade=True)
+    scales = derive_scales(config)
     return np.linspace(-kmax_labs, kmax_labs, n) / scales.l_abs
 
 
@@ -157,7 +157,7 @@ def spectrum(
     """
     k_grid = np.asarray(k_grid, dtype=float)
     i0 = _validate_k_grid(k_grid)
-    scales = derive_scales(config, allow_oversized_blockade=True)
+    scales = derive_scales(config)
     vals, vecs = np.linalg.eig(build_bloch_matrix(k_grid, regime, config))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     n_k, dim = vals.shape
@@ -246,7 +246,7 @@ def fit_dispersion(branch: PolaritonBranch, config: PhysicalConfig) -> Dispersio
     """
     if branch.kind != "dark":
         raise ValueError("dispersion fits are defined for dark branches only")
-    scales = derive_scales(config, allow_oversized_blockade=True)
+    scales = derive_scales(config)
     window = np.abs(branch.k_samples) <= _FIT_WINDOW
     window &= branch.k_samples != 0.0
     if np.count_nonzero(window) < 5:

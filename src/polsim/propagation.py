@@ -123,7 +123,7 @@ class ScatterResult:
         return self._build_field()
 
 
-def propagation_matrix(z, x, omega, config, scales=None):
+def propagation_matrix(z, x, omega, config):
     """Coefficient matrix M with i d(E_right, E_left)/d zeta = M (E_right, E_left).
 
     Structure ``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``,
@@ -133,14 +133,12 @@ def propagation_matrix(z, x, omega, config, scales=None):
     ``omega == 0`` the exact zero-frequency (cw) kernel is used: the three
     susceptibilities collapse to chi_r = -chi_l = -chi_c.
     """
-    if scales is None:
-        scales = derive_scales(config)
     dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
     if omega == 0.0:
-        k = chi0_cw(dz, scales)
+        k = chi0_cw(dz, derive_scales(config))
         m = _coefficient_matrix(k, -k, -k, config.phi)
     else:
-        chi = susceptibilities(dz, omega, config, scales)
+        chi = susceptibilities(dz, omega, config)
         m = _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
     return m[0] if np.ndim(z) == 0 else m
 
@@ -247,21 +245,20 @@ def _suffix_products(updates):
     return p
 
 
-def solve_bvp(omega, x, config, scales=None):
+def solve_bvp(omega, x, config):
     """Scattering of a unit probe at frequency ``omega`` off a gate at ``x``.
 
     Boundary conditions: E_right(0) = 1 and E_left(L) = 0.  ``omega = 0``
     solves the regular zero-frequency (cw) problem numerically;
     ``cw_analytic`` is its closed form.
     """
-    if scales is None:
-        scales = derive_scales(config)
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
+    scales = derive_scales(config)
 
     def coefficients(points):
         # -1j M as a C-ordered component stack, one evaluation per point
-        m = propagation_matrix(points * scales.z_b, x, omega, config, scales)
+        m = propagation_matrix(points * scales.z_b, x, omega, config)
         return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
 
     def product(level, nodes, a_nodes, a_mid):
@@ -339,7 +336,7 @@ def _field(z, updates, det_u, r, t):
     return TwoModeField(z=z, e_right=psi[:, 0], e_left=psi[:, 1])
 
 
-def cw_analytic(x, config, z=None, scales=None):
+def cw_analytic(x, config, z=None):
     """Closed-form zero-frequency scattering off a gate at ``x``.
 
     The cw coefficient matrix is nilpotent, so the fundamental matrix
@@ -347,27 +344,25 @@ def cw_analytic(x, config, z=None, scales=None):
     the running kernel integral.  ``z`` (optional array of physical
     positions) selects where the fields are evaluated.
     """
-    if scales is None:
-        scales = derive_scales(config)
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
+    scales = derive_scales(config)
     nu_total = nu(config.L, x, scales)
-    denom = 1.0 + nu_total
-    t = 1.0 / denom
-    r = cmath.exp(-1j * config.phi) * nu_total / denom
+    t, r, loss = _cw_coefficients(nu_total.real, nu_total.imag, config.phi)
     field = None
     if z is not None:
         z = np.asarray(z, dtype=float)
         nu_run = nu(z, x, scales)
+        denom = 1.0 + nu_total
         e_right = 1.0 - nu_run / denom
         e_left = cmath.exp(-1j * config.phi) * (nu_total - nu_run) / denom
         field = TwoModeField(z=z, e_right=e_right, e_left=e_left)
     return ScatterResult(
         omega=0.0,
         x=float(x),
-        transmission=complex(t),
-        reflection=complex(r),
-        absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
+        transmission=t,
+        reflection=r,
+        absorption=loss,
         richardson_error=0.0,
         refinements=0,
         segments=0,
@@ -385,12 +380,18 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     d_b = np.asarray(d_b, dtype=float)
     if np.any(d_b <= 0.0):
         raise ValueError("d_b must be positive")
-    # With nu = NU_INFINITY d_b: t = 1 / (1 + nu), r = e^{-i phi} nu / (1 + nu),
-    # in real arithmetic rounded as Python's complex product and quotient
-    # (Smith's method; |Re(1 + nu)| > |Im(1 + nu)| since NU_INFINITY.real >
-    # NU_INFINITY.imag > 0), so array and scalar d_b give the same bits
-    nu_re = NU_INFINITY.real * d_b
-    nu_im = NU_INFINITY.imag * d_b
+    return _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, phi)
+
+
+def _cw_coefficients(nu_re, nu_im, phi):
+    """``(t, r, A)`` of a gate whose kernel integral is ``nu = nu_re + 1j nu_im``.
+
+    t = 1 / (1 + nu), r = e^{-i phi} nu / (1 + nu) and A = 1 - |t|**2 - |r|**2,
+    in real arithmetic rounded as Python's complex product, quotient and
+    ``abs`` (Smith's method on its ``|Re| >= |Im|`` branch: Re nu >= Im nu >= 0
+    for a gate inside the medium), so array and scalar nu give the same bits.
+    Scalar parts give Python ``complex``, ``complex`` and ``float``.
+    """
     ratio = nu_im / (1.0 + nu_re)
     denom = (1.0 + nu_re) + nu_im * ratio
     e = cmath.exp(-1j * phi)
@@ -398,15 +399,20 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     a_im = e.real * nu_im + e.imag * nu_re
     t = 1.0 / denom + 1j * (-ratio / denom)
     r = (a_re + a_im * ratio) / denom + 1j * ((a_im - a_re * ratio) / denom)
-    loss = 1.0 - _abs2(t) - _abs2(r)
-    if d_b.ndim == 0:
+    loss = 1.0 - _magnitude(t)[1] - _magnitude(r)[1]
+    if np.ndim(loss) == 0:
         return complex(t), complex(r), float(loss)
     return t, r, loss
 
 
-def _abs2(z):
-    """``abs(z) ** 2`` rounded as Python computes it for a complex scalar."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+def _magnitude(z):
+    """``abs(z)`` and ``abs(z) ** 2`` of a complex array, rounded as Python does.
+
+    ``np.hypot`` is the ``hypot`` that ``abs(complex)`` calls, and
+    ``np.float_power`` calls ``pow`` as ``float ** 2`` does.
+    """
+    a = np.hypot(z.real, z.imag)
+    return a, np.float_power(a, 2.0)
 
 
 @dataclass(frozen=True)
@@ -418,7 +424,7 @@ class T0Spectrum:
     reflection: np.ndarray
 
 
-def t0_spectrum(omega_grid, config, scales=None) -> T0Spectrum:
+def t0_spectrum(omega_grid, config) -> T0Spectrum:
     """Scattering spectrum of the uniform medium with no stored gate.
 
     The coefficients are z-independent, so the fundamental matrix is
@@ -438,13 +444,12 @@ def t0_spectrum(omega_grid, config, scales=None) -> T0Spectrum:
     The medium is exactly transparent at zero frequency, which is inserted
     directly rather than taken as a limit.
     """
-    if scales is None:
-        scales = derive_scales(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise GridError("omega_grid must be a nonempty one-dimensional array")
+    scales = derive_scales(config)
     live = omega_grid != 0.0
-    chi = free_susceptibilities(omega_grid[live], config, scales)
+    chi = free_susceptibilities(omega_grid[live], config)
     a = (-1j * config.L / scales.z_b) * _coefficient_matrix(
         chi.chi_r, chi.chi_l, chi.chi_c, config.phi
     )
@@ -510,7 +515,7 @@ def fitted_transparency_width(t0_results: T0Spectrum) -> float:
     return 1.0 / math.sqrt(a)
 
 
-def transparency_width_study(config, scales=None, rel_window=1e-3, n=21) -> WidthFit:
+def transparency_width_study(config, rel_window=1e-3, n=21) -> WidthFit:
     """Fitted transparency width next to its closed-form prediction.
 
     Samples the gate-free transmission across ``rel_window`` times the
@@ -519,15 +524,13 @@ def transparency_width_study(config, scales=None, rel_window=1e-3, n=21) -> Widt
     term between the two photon modes that dephases at larger detunings,
     and the closed-form width only captures the true zero-frequency limit.
     """
-    if scales is None:
-        scales = derive_scales(config, allow_oversized_blockade=True)
     if not 0.0 < rel_window <= 1.0:
         raise ValueError("rel_window must be in (0, 1]")
     if n < 7:
         raise ValueError("need at least 7 samples")
-    predicted = scales.delta_omega0
+    predicted = derive_scales(config).delta_omega0
     grid = np.linspace(-rel_window * predicted, rel_window * predicted, n)
-    spec = t0_spectrum(grid, config, scales)
+    spec = t0_spectrum(grid, config)
     fitted = fitted_transparency_width(spec)
     return WidthFit(
         fitted=fitted,

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core_model import (
-    DerivedScales,
-    PhysicalConfig,
-    derive_scales,
-    trapezoid_weights,
-)
+from .core_model import PhysicalConfig, derive_scales, trapezoid_weights
 from .errors import GridError, PositivityWarning, QuadratureError
 from .susceptibility import nu
 
@@ -136,12 +131,7 @@ def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
     return complex(val)
 
 
-def coherence_factor(
-    x: float,
-    y: float,
-    config: PhysicalConfig,
-    scales: DerivedScales | None = None,
-) -> complex:
+def coherence_factor(x: float, y: float, config: PhysicalConfig) -> complex:
     """Multiplier applied to rho0(x, y) by CW target scattering.
 
     Equals 1 exactly on the diagonal.  For |x - y| many blockade radii and
@@ -149,23 +139,19 @@ def coherence_factor(
     loss, tying coherence decay directly to the scattering loss channel.
     ``x`` and ``y`` are physical positions in [0, L].
     """
-    scales = scales or derive_scales(config)
     for name, value in (("x", x), ("y", y)):
         if not 0.0 <= value <= config.L:
             raise ValueError(f"{name} must lie in [0, L], got {value!r}")
     if x == y:
         return 1.0 + 0.0j
+    scales = derive_scales(config)
     t_x = 1.0 / (1.0 + nu(config.L, x, scales))
     t_y = 1.0 / (1.0 + nu(config.L, y, scales))
     integral = _kernel_integral(x / scales.z_b, y / scales.z_b, config.L / scales.z_b)
     return 1.0 + 1j * scales.d_b * t_x * np.conj(t_y) * integral
 
 
-def evolve_cw(
-    rho0: SpinWaveDensityMatrix,
-    config: PhysicalConfig,
-    scales: DerivedScales | None = None,
-) -> SpinWaveDensityMatrix:
+def evolve_cw(rho0: SpinWaveDensityMatrix, config: PhysicalConfig) -> SpinWaveDensityMatrix:
     """Apply the CW scattering map element-wise to an initial density matrix.
 
     Evaluates the coherence factor for every grid pair (upper triangle, then
@@ -178,10 +164,10 @@ def evolve_cw(
     PositivityWarning if discretization pushes the result out of the PSD
     cone by more than PSD_SLACK times the trace.
     """
-    scales = scales or derive_scales(config)
     grid = rho0.grid
     if grid[0] < 0.0 or grid[-1] > config.L:
         raise GridError("spin-wave grid extends outside the medium [0, L]")
+    scales = derive_scales(config)
 
     zb = scales.z_b
     length_r = config.L / zb

@@ -136,12 +136,7 @@ def _triple(chi_r, chi_l, chi_c, scalar):
     return SusceptibilityTriple(chi_r, chi_l, chi_c)
 
 
-def susceptibilities(
-    dz: float,
-    omega: float,
-    config: PhysicalConfig,
-    scales: DerivedScales | None = None,
-) -> SusceptibilityTriple:
+def susceptibilities(dz: float, omega: float, config: PhysicalConfig) -> SusceptibilityTriple:
     """Rescaled (chi_r, chi_l, chi_c) at separation ``dz`` from the gate.
 
     ``dz`` may be a scalar or array of real separations, including 0 (taken
@@ -154,26 +149,18 @@ def susceptibilities(
     SusceptibilityPoleError
         If the shared denominator vanishes; it names the first offending dz.
     """
-    if scales is None:
-        scales = derive_scales(config, allow_oversized_blockade=True)
-    chi = _chi_arrays(np.atleast_1d(dz), omega, config, scales)
+    chi = _chi_arrays(np.atleast_1d(dz), omega, config, derive_scales(config))
     return _triple(*chi, scalar=np.ndim(dz) == 0)
 
 
-def free_susceptibilities(
-    omega,
-    config: PhysicalConfig,
-    scales: DerivedScales | None = None,
-) -> SusceptibilityTriple:
+def free_susceptibilities(omega, config: PhysicalConfig) -> SusceptibilityTriple:
     """Susceptibilities of the gate-free medium (V identically zero).
 
     ``omega`` may be a scalar or an array of nonzero frequencies; the triple
     components match its shape, and a scalar gives the bits of the matching
     array element.
     """
-    if scales is None:
-        scales = derive_scales(config, allow_oversized_blockade=True)
-    chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, scales)
+    chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, derive_scales(config))
     return _triple(*chi, scalar=np.ndim(omega) == 0)
 
 

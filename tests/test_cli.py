@@ -13,7 +13,7 @@ import pytest
 
 import polsim.cli
 import polsim.fidelity
-from polsim.cli import main, run
+from polsim.cli import TASKS, main, run
 from polsim.core_model import PhysicalConfig
 from polsim.errors import QuadratureError, SchemaError
 from polsim.propagation import cw_analytic, cw_bulk_coefficients
@@ -406,6 +406,12 @@ class TestSchemaAndExitCodes:
         ("spectrum", "task_params", "kmax_labs", "0"),
         ("spectrum", "task_params", "kmax_labs", "-2.0"),
         ("spectrum", "task_params", "n_k", "400"),
+        # fit_width must be a JSON boolean; --set passes False and no as strings
+        ("t0", "task_params", "fit_width", '"False"'),
+        ("t0", "task_params", "fit_width", '"no"'),
+        ("t0", "task_params", "fit_width", "0"),
+        ("t0", "task_params", "fit_width", "1"),
+        ("t0", "task_params", "fit_width", "null"),
     ])
     def test_non_finite_or_out_of_range_value_exits_2(self, tmp_path, task, section, key, literal):
         # JSON reads 1e400 as inf and accepts NaN and Infinity
@@ -526,14 +532,24 @@ class TestSchemaAndExitCodes:
         assert main(["cw", "--config", str(cfg), "--set", "a.b.c.d=1"]) == 2
         assert main(["cw", "--config", str(cfg), "--set", "physical=3"]) == 2
 
-    def test_oversized_blockade_is_soft_warning(self, tmp_path):
+    @pytest.mark.parametrize("task", TASKS)
+    def test_oversized_blockade_is_soft_warning(self, tmp_path, task):
+        # z_b = 1 over a medium of 0.5: every task computes and warns
+        params = {
+            "spectrum": {"regime": "blockaded", "n_k": 41},
+            "t0": {"omega_min": -1.0, "omega_max": 1.0, "n_omega": 5},
+            "propagate": {"omega": 0.3},
+            "cw": {"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4},
+            "spinwave": {"n_samples": 64},
+            "fidelity": {"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4, "n_samples": 64},
+            "scan": {"parameter": "x_gate", "values": [0.1, 0.25], "observable": "cw_point"},
+        }[task]
         physical = dict(PHYSICAL, L=0.5, x_gate=0.25)
         cfg = write_config(
-            tmp_path, physical=physical, task="cw",
-            task_params={"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4},
+            tmp_path, physical=physical, task=task, task_params=params,
             output_dir=str(tmp_path / "out"),
         )
-        assert main(["cw", "--config", str(cfg)]) == 0
+        assert main([task, "--config", str(cfg)]) == 0
         manifest = read_manifest(tmp_path / "out")
         assert any("blockade radius" in w for w in manifest["warnings"])
 

@@ -14,7 +14,7 @@ from polsim.core_model import (
     trapezoid_weights,
     vdw_potential,
 )
-from polsim.errors import GridError, OversizedBlockadeError
+from polsim.errors import GridError
 
 
 def make_config(**overrides):
@@ -92,12 +92,10 @@ class TestDeriveScales:
         scales = derive_scales(cfg)
         assert scales.delta_omega0 == pytest.approx(scales.gamma_eit, rel=1e-5)
 
-    def test_oversized_blockade_is_flagged_but_overridable(self):
+    def test_oversized_blockade_is_computed(self):
+        # a blockade radius longer than the medium is returned, not refused
         cfg = make_config(L=0.5, x_gate=0.25)
-        with pytest.raises(OversizedBlockadeError):
-            derive_scales(cfg)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
-        assert scales.z_b > cfg.L
+        assert derive_scales(cfg).z_b > cfg.L
 
     @given(
         s=st.floats(min_value=0.01, max_value=100.0),
@@ -114,8 +112,8 @@ class TestDeriveScales:
             gamma=cfg.gamma * s, phi=cfg.phi, c=cfg.c * ell * s,
             C6=cfg.C6 * s * ell**6, L=cfg.L * ell, x_gate=cfg.x_gate * ell,
         )
-        a = derive_scales(cfg, allow_oversized_blockade=True)
-        b = derive_scales(scaled, allow_oversized_blockade=True)
+        a = derive_scales(cfg)
+        b = derive_scales(scaled)
         assert b.z_b == pytest.approx(a.z_b * ell, rel=1e-10)
         assert b.l_abs == pytest.approx(a.l_abs * ell, rel=1e-10)
         assert b.d_b == pytest.approx(a.d_b, rel=1e-10)

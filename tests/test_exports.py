@@ -1,9 +1,11 @@
 """The package namespace re-exports exactly the library modules' public names,
-no library module imports a name it neither uses nor exports, and every
-module-level private name has a reader."""
+no library module imports a name it neither uses nor exports, every
+module-level private name has a reader, and no public function takes scales
+apart from its config."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import polsim
@@ -74,3 +76,24 @@ def test_every_private_name_is_read():
                 read.add(node.attr)
     unread = sorted(f"{where}: {name}" for name, where in defined.items() if name not in read)
     assert not unread, f"private names nothing reads: {unread}"
+
+
+def test_scales_come_from_the_config():
+    # derive_scales(config) is the one source of scales: no public callable
+    # accepts optional scales that could disagree with its config, and none
+    # has an oversized-blockade switch
+    offenders = []
+    for name in polsim.__all__:
+        obj = getattr(polsim, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        scales = params.get("scales")
+        if scales is not None and scales.default is not inspect.Parameter.empty:
+            offenders.append(f"{name}(scales=...)")
+        if "allow_oversized_blockade" in params:
+            offenders.append(f"{name}(allow_oversized_blockade=...)")
+    assert not offenders, f"scales settable apart from the config: {offenders}"

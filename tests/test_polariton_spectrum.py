@@ -180,7 +180,7 @@ class TestSpectrum:
 
     def test_dark_branches_are_odd_in_momentum_at_small_k(self):
         cfg = make_config(G=10.0, OmegaS=40.0)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
+        scales = derive_scales(cfg)
         grid = np.linspace(-0.01, 0.01, 41) / scales.l_abs
         for b in spectrum(grid, "free", cfg):
             if b.kind != "dark":
@@ -307,7 +307,7 @@ def exact_dark_velocities(cfg):
 class TestFitDispersion:
     def test_slow_light_group_velocities(self):
         cfg = make_config(G=10.0, Omega=1.0, OmegaS=40.0)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
+        scales = derive_scales(cfg)
         grid = np.linspace(-0.01, 0.01, 41) / scales.l_abs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -328,7 +328,7 @@ class TestFitDispersion:
 
     def test_fitted_slopes_match_perturbation_oracle(self):
         cfg = make_config(G=300.0, Omega=1.0, OmegaS=10.0)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
+        scales = derive_scales(cfg)
         grid = np.linspace(-0.0004, 0.0004, 41) / scales.l_abs
         darks = [b for b in spectrum(grid, "free", cfg) if b.kind == "dark"]
         fitted = np.sort([fit_dispersion(b, cfg).value.real for b in darks])
@@ -338,7 +338,7 @@ class TestFitDispersion:
     def test_velocity_ratio_in_strong_coupling_limit(self):
         # v_right -> -(Om/OmS)**2 * v_left when G >> OmS >> Om
         cfg = make_config(G=1000.0, Omega=1.0, OmegaS=30.0)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
+        scales = derive_scales(cfg)
         grid = np.linspace(-0.0002, 0.0002, 41) / scales.l_abs
         darks = [b for b in spectrum(grid, "free", cfg) if b.kind == "dark"]
         v_left, v_right = np.sort([fit_dispersion(b, cfg).value.real for b in darks])

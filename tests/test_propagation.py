@@ -76,7 +76,7 @@ class TestPropagationMatrix:
             d1 = np.linalg.det(m1)
             assert d0 == pytest.approx(d1, rel=1e-12)
             # det = chi_r chi_l + chi_c**2; off-diagonal phases cancel
-            chi = susceptibilities((z - 12.0) * scales.z_b, omega, cfg0, scales)
+            chi = susceptibilities((z - 12.0) * scales.z_b, omega, cfg0)
             want = chi.chi_r * chi.chi_l + chi.chi_c**2
             assert d0 == pytest.approx(want, rel=1e-12)
 
@@ -221,7 +221,7 @@ def rk4_steps(nodes, omega, x, config):
     eye = np.eye(2, dtype=complex)
     z = nodes * scales.z_b
     a1, a2, a3 = (
-        -1j * propagation_matrix(pts, x, omega, config, scales)
+        -1j * propagation_matrix(pts, x, omega, config)
         for pts in (z[:-1], 0.5 * (z[:-1] + z[1:]), z[1:])
     )
     h = np.diff(nodes)[:, None, None]
@@ -527,9 +527,9 @@ class TestT0Spectrum:
         # scalar ladder attenuation and the reflection dies
         cfg = PhysicalConfig(G=1.0, Omega=1.0, OmegaS=1e6, gamma=1.0,
                              phi=0.0, c=1.0, C6=1.0, L=30.0, x_gate=15.0)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
+        scales = derive_scales(cfg)
         ws = np.array([0.05, 0.1, 0.2])
-        spec = t0_spectrum(ws, cfg, scales)
+        spec = t0_spectrum(ws, cfg)
         for w, t, r in zip(ws, spec.transmission, spec.reflection):
             xi = w + 1j * cfg.gamma - cfg.Omega**2 / w
             scalar = np.exp(-cfg.L * cfg.G**2 * cfg.gamma / (cfg.c * abs(xi) ** 2))
@@ -540,9 +540,9 @@ class TestT0Spectrum:
         cfg = make_config(5.0)
         scales = derive_scales(cfg)
         ws = [0.05, 0.2]
-        spec = t0_spectrum(np.array(ws), cfg, scales)
+        spec = t0_spectrum(np.array(ws), cfg)
         for w, t_ref, r_ref in zip(ws, spec.transmission, spec.reflection):
-            chi = free_susceptibilities(w, cfg, scales)
+            chi = free_susceptibilities(w, cfg)
             m = np.array([
                 [chi.chi_r, chi.chi_c],
                 [-chi.chi_c, chi.chi_l],
@@ -566,8 +566,8 @@ class TestT0Spectrum:
         # digits on this medium, so the oracle carries enough to spare
         cfg = make_config(5.0)
         scales = derive_scales(cfg)
-        spec = t0_spectrum(np.array([omega]), cfg, scales)
-        chi = free_susceptibilities(omega, cfg, scales)
+        spec = t0_spectrum(np.array([omega]), cfg)
+        chi = free_susceptibilities(omega, cfg)
         with mpmath.workdps(160):
             a = -1j * mpmath.matrix([
                 [mpmath.mpc(chi.chi_r), mpmath.mpc(chi.chi_c)],
@@ -585,10 +585,10 @@ class TestT0Spectrum:
         cfg = make_config(1.0, L=6.0, phi=0.4)
         scales = derive_scales(cfg)
         ws = np.array([-1.0, -0.2, 0.05, 0.3, 1.5])
-        spec = t0_spectrum(ws, cfg, scales)
+        spec = t0_spectrum(ws, cfg)
         ephi = np.exp(1j * cfg.phi)
         for w, t_ref, r_ref in zip(ws, spec.transmission, spec.reflection):
-            chi = free_susceptibilities(w, cfg, scales)
+            chi = free_susceptibilities(w, cfg)
             m = np.array([
                 [chi.chi_r, chi.chi_c * ephi],
                 [-chi.chi_c * np.conj(ephi), chi.chi_l],
@@ -616,27 +616,23 @@ class TestTransparencyWidth:
         for ratio in (1.0, 2.0, 4.0):
             fit = transparency_width_study(width_config(ratio))
             assert fit.rel_error < 0.01
-            assert fit.fitted <= derive_scales(
-                width_config(ratio), allow_oversized_blockade=True
-            ).gamma_eit * 1.001
+            assert fit.fitted <= derive_scales(width_config(ratio)).gamma_eit * 1.001
 
     def test_width_grows_with_second_leg(self):
         fits = [transparency_width_study(width_config(r)).fitted for r in (1.0, 4.0)]
         assert fits[1] > fits[0]
 
     def test_width_shrinks_with_depth(self):
-        shallow = derive_scales(width_config(2.0), allow_oversized_blockade=True)
+        shallow = derive_scales(width_config(2.0))
         cfg_deep = PhysicalConfig(G=0.1, Omega=1.0, OmegaS=2.0, gamma=0.5,
                                   phi=0.0, c=1.0, C6=1.0, L=2500.0, x_gate=625.0)
-        deep = derive_scales(cfg_deep, allow_oversized_blockade=True)
+        deep = derive_scales(cfg_deep)
         assert deep.delta_omega0 < shallow.delta_omega0
 
     def test_too_wide_sampling_is_rejected(self):
         cfg = width_config(1.0)
-        scales = derive_scales(cfg, allow_oversized_blockade=True)
-        wide = t0_spectrum(
-            np.linspace(-5.0, 5.0, 9) * scales.delta_omega0, cfg, scales
-        )
+        scales = derive_scales(cfg)
+        wide = t0_spectrum(np.linspace(-5.0, 5.0, 9) * scales.delta_omega0, cfg)
         with pytest.raises(FitWindowError):
             fitted_transparency_width(wide)
 

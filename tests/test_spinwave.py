@@ -76,12 +76,11 @@ class TestCoherenceFactor:
 
     def test_swap_conjugates(self):
         cfg = make_config(5.0, 20.0)
-        scales = derive_scales(cfg)
         rng = np.random.default_rng(17)
         for _ in range(20):
             x, y = rng.uniform(0.0, 20.0, size=2)
-            f_xy = coherence_factor(x, y, cfg, scales)
-            f_yx = coherence_factor(y, x, cfg, scales)
+            f_xy = coherence_factor(x, y, cfg)
+            f_yx = coherence_factor(y, x, cfg)
             assert abs(f_yx - np.conj(f_xy)) < 1e-12
 
     def test_partial_fraction_route_agrees(self):
@@ -90,7 +89,7 @@ class TestCoherenceFactor:
         cfg = make_config(5.0, 20.0)
         scales = derive_scales(cfg)
         x, y = 7.3, 11.1
-        direct = coherence_factor(x, y, cfg, scales)
+        direct = coherence_factor(x, y, cfg)
 
         t_x = 1.0 / (1.0 + nu(cfg.L, x, scales))
         t_y = 1.0 / (1.0 + nu(cfg.L, y, scales))
@@ -110,9 +109,8 @@ class TestCoherenceFactor:
 
     def test_monotone_in_separation(self):
         cfg = make_config(5.0, 20.0)
-        scales = derive_scales(cfg)
         seps = np.linspace(0.0, 12.0, 25)
-        vals = [abs(coherence_factor(10.0 - s / 2, 10.0 + s / 2, cfg, scales))
+        vals = [abs(coherence_factor(10.0 - s / 2, 10.0 + s / 2, cfg))
                 for s in seps]
         assert vals[0] == 1.0
         assert np.all(np.diff(vals) <= 1e-12)

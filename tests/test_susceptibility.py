@@ -86,7 +86,7 @@ def _symbolic_triple(dz, omega, cfg, crossing=False):
         at = sympy.oo
     else:
         at = sympy.Rational(cfg.C6) / sympy.Rational(dz) ** 6
-    z_b = derive_scales(cfg, allow_oversized_blockade=True).z_b
+    z_b = derive_scales(cfg).z_b
     out = []
     for expr in (chi_r, chi_l, chi_c):
         expr = expr.subs(subs)
@@ -97,7 +97,7 @@ def _symbolic_triple(dz, omega, cfg, crossing=False):
 
 class TestSusceptibilities:
     def _assert_matches_oracle(self, dz, omega, crossing=False):
-        got = susceptibilities(dz, omega, CFG, SCALES)
+        got = susceptibilities(dz, omega, CFG)
         want = _symbolic_triple(dz, omega, CFG, crossing=crossing)
         for g, wv in zip((got.chi_r, got.chi_l, got.chi_c), want):
             assert abs(g - wv) <= 1e-12 * max(1.0, abs(wv))
@@ -125,7 +125,7 @@ class TestSusceptibilities:
         want = -0.5j * SCALES.d_b
         err_prev = None
         for omega in (1e-3, 1e-5):
-            t = susceptibilities(0.0, omega, CFG, SCALES)
+            t = susceptibilities(0.0, omega, CFG)
             err = abs(t.chi_r - want)
             assert abs(t.chi_l + t.chi_r) < 1e-2 * abs(t.chi_r) * omega / CFG.gamma * 1e3 + 1e-9
             assert abs(t.chi_c + t.chi_r) < 1e-2 * abs(t.chi_r) * omega / CFG.gamma * 1e3 + 1e-9
@@ -136,8 +136,8 @@ class TestSusceptibilities:
 
     def test_far_from_gate_reduces_to_free_response(self):
         omega = 0.3
-        far = susceptibilities(50.0, omega, CFG, SCALES)
-        free = free_susceptibilities(omega, CFG, SCALES)
+        far = susceptibilities(50.0, omega, CFG)
+        free = free_susceptibilities(omega, CFG)
         for a, b in zip(
             (far.chi_r, far.chi_l, far.chi_c), (free.chi_r, free.chi_l, free.chi_c)
         ):
@@ -145,8 +145,8 @@ class TestSusceptibilities:
 
     def test_free_medium_transparent_at_zero_detuning(self):
         # V = 0: all three susceptibilities vanish linearly as omega -> 0+.
-        t1 = free_susceptibilities(1e-4, CFG, SCALES)
-        t2 = free_susceptibilities(1e-6, CFG, SCALES)
+        t1 = free_susceptibilities(1e-4, CFG)
+        t2 = free_susceptibilities(1e-6, CFG)
         for a, b in zip((t1.chi_r, t1.chi_l, t1.chi_c), (t2.chi_r, t2.chi_l, t2.chi_c)):
             assert abs(b) < abs(a)
         assert abs(t2.chi_r) < 1e-4 * SCALES.d_b
@@ -157,24 +157,24 @@ class TestSusceptibilities:
         omegas = np.concatenate(
             [[-3.0, -0.3, 1e-6, 0.5, 7.0], rng.uniform(-5.0, 5.0, 200)]
         )
-        arrays = free_susceptibilities(omegas, CFG, SCALES)
+        arrays = free_susceptibilities(omegas, CFG)
         for i, omega in enumerate(omegas):
-            scalar = free_susceptibilities(float(omega), CFG, SCALES)
+            scalar = free_susceptibilities(float(omega), CFG)
             for a, b in zip(
                 (arrays.chi_r, arrays.chi_l, arrays.chi_c),
                 (scalar.chi_r, scalar.chi_l, scalar.chi_c),
             ):
                 assert a[i] == b
         with pytest.raises(SingularFrequencyError):
-            free_susceptibilities(np.array([0.5, 0.0]), CFG, SCALES)
+            free_susceptibilities(np.array([0.5, 0.0]), CFG)
 
     def test_cross_coupling_alive_at_finite_detuning_without_gate(self):
-        t = free_susceptibilities(0.5, CFG, SCALES)
+        t = free_susceptibilities(0.5, CFG)
         assert abs(t.chi_c) > 1e-3
 
     def test_zero_frequency_refused(self):
         with pytest.raises(SingularFrequencyError):
-            susceptibilities(1.0, 0.0, CFG, SCALES)
+            susceptibilities(1.0, 0.0, CFG)
 
     def test_pole_error_names_the_offending_point(self):
         # With gamma > 0 the denominator never vanishes exactly; the check
