@@ -546,7 +546,8 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
     if scales.z_b > cfg.L:
         soft_warnings.append(
             f"blockade radius {scales.z_b:.6g} exceeds medium length {cfg.L:.6g}; "
-            "continuing with the oversized-blockade override"
+            "the medium is computed, but the bulk deep-medium formulas of the "
+            "cw and fidelity sweeps do not describe it"
         )
 
     # run id = timestamp to the microsecond + pid, unique per run

@@ -46,7 +46,7 @@ _AMBIGUITY_TOL = 1e-6
 _DARK_TOL = 1e-12
 
 # Dispersion fits use samples with |k| * l_abs below this.
-_FIT_WINDOW = 0.01
+_FIT_K_MAX = 0.01
 
 
 def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
@@ -247,12 +247,12 @@ def fit_dispersion(branch: PolaritonBranch, config: PhysicalConfig) -> Dispersio
     if branch.kind != "dark":
         raise ValueError("dispersion fits are defined for dark branches only")
     scales = derive_scales(config)
-    window = np.abs(branch.k_samples) <= _FIT_WINDOW
+    window = np.abs(branch.k_samples) <= _FIT_K_MAX
     window &= branch.k_samples != 0.0
     if np.count_nonzero(window) < 5:
         raise FitWindowError(
             "need at least 5 nonzero samples with |k|*l_abs <= "
-            f"{_FIT_WINDOW}, got {np.count_nonzero(window)}"
+            f"{_FIT_K_MAX}, got {np.count_nonzero(window)}"
         )
     kk = branch.k_samples[window]
     ww = branch.omega[window]

@@ -10,23 +10,19 @@ closed-form solution is also provided for cross-checking.
 The integrator works on the dimensionless coordinate zeta = z / z_b in
 which the rescaled susceptibilities are per-unit-length.  Fields of 2x2
 matrices are held as four component arrays, so every matrix product is
-elementwise arithmetic over the steps.  It builds one fourth-order update
-matrix per step, multiplies them with a pairwise tree reduction, and
-accepts the result only after a step-halving comparison; a halved grid
-reuses every coefficient of the coarser one, so each point is evaluated
-once.  The base grid has 200 steps per blockade radius within three radii
-of the gate and 25 elsewhere; up to four halvings follow, and the grid
-accepted is the finer one of the first pair that agrees, so it has
-between 400 and 3200 steps per radius near the gate.  Every scattering
-quantity is then a ratio of products, so none comes from a cancelling
-sum however deep the medium: with Phi the accepted
-fundamental matrix, R = -Phi10 / Phi11 and T = det Phi / Phi11, where
-det Phi is the product of the step determinants.  The field at node k
-follows from the suffix product S_k of the steps beyond it, which maps
-the field there to (T, 0): E_right = T S_k[1,1] / det S_k and
-E_left = -T S_k[1,0] / det S_k.  The suffix products are built by
-doubling, and only when the field is first read: R and T need none of
-them.
+elementwise arithmetic over the steps.  Each step is the exact exponential
+of its fourth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009)), whose error depends on how the coefficients vary along
+the step, not on their size, so deep media need no finer steps.  The base
+grid is uniform; up to four halvings follow, each reusing every
+coefficient of the coarser grid, and the finer grid of the first pair
+that agrees is accepted.  Every scattering quantity is then a ratio of
+products, so none comes from a cancelling sum however deep the medium:
+with Phi the accepted fundamental matrix, R = -Phi10 / Phi11 and
+T = det Phi / Phi11, where det Phi is the exponential of the summed step
+traces.  The field at node k follows from the suffix product S_k of the
+steps beyond it, which maps the field there to (T, 0), and is built by
+doubling only when the field is first read: R and T need none of it.
 """
 
 from __future__ import annotations
@@ -69,16 +65,12 @@ __all__ = [
     "transparency_width_study",
 ]
 
-# Step policy of the boundary-value integrator, in blockade radii: the base
-# grid has fine steps within _WINDOW of the gate (200 per blockade radius
-# resolve the blockade sphere) and coarse steps (25 per radius) elsewhere.
-_FINE_STEP = 1.0 / 200.0
-_COARSE_STEP = 1.0 / 25.0
-_WINDOW = 3.0
-# A solve is accepted once halving every step changes the fundamental matrix
-# by less than _RICHARDSON_TOL (relative Frobenius), with at most
-# _MAX_REFINEMENTS halvings.  The accepted grid is the finer one of the
-# passing pair: 400 to 3200 steps per blockade radius near the gate.
+# Step policy of the boundary-value integrator: the base grid has uniform
+# steps of _STEP blockade radii.  A solve is accepted once halving every step
+# changes the fundamental matrix by less than _RICHARDSON_TOL (relative
+# Frobenius), with at most _MAX_REFINEMENTS halvings.  The accepted grid is
+# the finer one of the passing pair: 200 to 1600 steps per blockade radius.
+_STEP = 1.0 / 100.0
 _RICHARDSON_TOL = 1e-8
 _MAX_REFINEMENTS = 4
 
@@ -155,19 +147,8 @@ def _coefficient_matrix(chi_r, chi_l, chi_c, phi):
     return m
 
 
-def _build_nodes(length_zb: float, x_zb: float) -> np.ndarray:
-    lo = min(max(x_zb - _WINDOW, 0.0), length_zb)
-    hi = min(max(x_zb + _WINDOW, 0.0), length_zb)
-    pieces = []
-    for a, b, step in (
-        (0.0, lo, _COARSE_STEP),
-        (lo, hi, _FINE_STEP),
-        (hi, length_zb, _COARSE_STEP),
-    ):
-        if b - a > 1e-12 * max(length_zb, 1.0):
-            n = max(1, math.ceil((b - a) / step))
-            pieces.append(np.linspace(a, b, n + 1))
-    return np.unique(np.concatenate(pieces))
+def _build_nodes(length_zb: float) -> np.ndarray:
+    return np.linspace(0.0, length_zb, max(1, math.ceil(length_zb / _STEP)) + 1)
 
 
 def _mul(p, q):
@@ -192,40 +173,48 @@ def _interleave(nodes, mid):
     return out
 
 
-def _rk4_updates(nodes_zb, a_nodes, a_mid):
-    """Fourth-order update matrix of every step, as a component stack.
+def _magnus_steps(nodes_zb, a_nodes, a_mid):
+    """Step matrices exp(Omega) as a component stack, and their traces tr Omega.
 
     The ODE integrated is d psi / d zeta = A psi with A = -1j M, sampled at
-    the nodes (``a_nodes``) and the step midpoints (``a_mid``).
+    the nodes (``a_nodes``) and the step midpoints (``a_mid``).  Each step's
+    fourth-order Magnus exponent is
+    Omega = h/6 (A_a + 4 A_m + A_b) - h**2/12 [A_m, A_b - A_a], and its
+    exponential is e^m [cosh s + sinh(s)/s (Omega - m)] with m, d and s
+    from ``_invariants`` (sinh(s)/s = 1 at s = 0, which every cw step
+    reaches: the cw matrix is nilpotent).
     """
     h = np.diff(nodes_zb)
-    a1 = a_nodes[:, :-1]
-    a3 = a_nodes[:, 1:]
-
-    def shifted(k, f, out):
-        # identity + f * k, written into out
-        np.multiply(k, f, out=out)
-        out[0] += 1.0
-        out[3] += 1.0
-        return out
-
-    # the three shifted operands share one scratch stack
-    scratch = np.empty_like(a_mid)
-    k2 = _mul(a_mid, shifted(a1, 0.5 * h, scratch))
-    k3 = _mul(a_mid, shifted(k2, 0.5 * h, scratch))
-    k4 = _mul(a3, shifted(k3, h, scratch))
-    # k1 + 2 k2 + 2 k3 + k4, summed left to right into k2
-    k2 *= 2.0
-    k2 += a1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    return shifted(k2, h / 6.0, k2)
+    a_a = a_nodes[:, :-1]
+    a_b = a_nodes[:, 1:]
+    diff = a_b - a_a
+    exponent = (h / 6.0) * (a_a + 4.0 * a_mid + a_b)
+    exponent -= (h * h / 12.0) * (_mul(a_mid, diff) - _mul(diff, a_mid))
+    m, d, s, _ = _invariants(*exponent)
+    e = np.exp(m)
+    sinhc = e * np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0.0)
+    cosh = e * np.cosh(s)
+    steps = exponent * sinhc
+    steps[0] = cosh + sinhc * d
+    steps[3] = cosh - sinhc * d
+    return steps, 2.0 * m
 
 
-def _tree_product(updates):
-    """Product updates[-1] @ ... @ updates[0] by pairwise tree reduction."""
-    p = updates
+def _invariants(a00, a01, a10, a11):
+    """``(m, d, s, a01 a10)`` of exp(A) = e^m [cosh s + sinh(s)/s (A - m)].
+
+    For the 2x2 matrix A with entries ``a00 .. a11``: m = tr A / 2,
+    d = (a00 - a11) / 2 and s = sqrt(d**2 + a01 a10), the principal root.
+    """
+    m = 0.5 * (a00 + a11)
+    d = 0.5 * (a00 - a11)
+    a01_a10 = a01 * a10
+    return m, d, np.sqrt(d * d + a01_a10), a01_a10
+
+
+def _tree_product(steps):
+    """Product steps[-1] @ ... @ steps[0] by pairwise tree reduction."""
+    p = steps
     while p.shape[1] > 1:
         n = p.shape[1] // 2
         q = _mul(p[:, 1 : 2 * n : 2], p[:, 0 : 2 * n : 2])
@@ -235,9 +224,9 @@ def _tree_product(updates):
     return p[:, 0]
 
 
-def _suffix_products(updates):
-    """Suffix products S_k = updates[-1] @ ... @ updates[k], by doubling."""
-    p = updates.copy()
+def _suffix_products(steps):
+    """Suffix products S_k = steps[-1] @ ... @ steps[k], by doubling."""
+    p = steps.copy()
     shift = 1
     while shift < p.shape[1]:
         p[:, :-shift] = _mul(p[:, shift:], p[:, :-shift])
@@ -262,32 +251,36 @@ def solve_bvp(omega, x, config):
         return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
 
     def product(level, nodes, a_nodes, a_mid):
-        updates = _rk4_updates(nodes, a_nodes, a_mid)
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = _tree_product(updates)
+            steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
+            phi = _tree_product(steps)
         if not np.all(np.isfinite(phi)):
             raise IllConditionedError(
                 f"fundamental matrix overflows at refinement level {level} "
-                f"({updates.shape[1]} steps)"
+                f"({steps.shape[1]} steps)"
             )
-        return updates, phi
+        return steps, traces, phi
 
     # each level's nodes are the previous level's nodes and step midpoints,
     # so only the new midpoints are evaluated
-    nodes = _build_nodes(config.L / scales.z_b, x / scales.z_b)
+    nodes = _build_nodes(config.L / scales.z_b)
     a_nodes = coefficients(nodes)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     a_mid = coefficients(mid)
-    updates, phi = product(0, nodes, a_nodes, a_mid)
+    steps, traces, phi = product(0, nodes, a_nodes, a_mid)
     err = math.inf
     for level in range(1, _MAX_REFINEMENTS + 1):
         nodes = _interleave(nodes, mid)
         a_nodes = _interleave(a_nodes, a_mid)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         a_mid = coefficients(mid)
-        updates, phi_f = product(level, nodes, a_nodes, a_mid)
+        steps, traces, phi_f = product(level, nodes, a_nodes, a_mid)
+        # relative Frobenius change, with both norms divided by max|phi_f|
+        # so that no square overflows
+        scale = max(1.0, float(np.max(np.abs(phi_f))))
         err = float(
-            np.linalg.norm(phi_f - phi) / max(1.0, np.linalg.norm(phi_f))
+            np.linalg.norm(phi_f / scale - phi / scale)
+            / max(1.0 / scale, np.linalg.norm(phi_f / scale))
         )
         phi = phi_f
         if err <= _RICHARDSON_TOL:
@@ -302,10 +295,8 @@ def solve_bvp(omega, x, config):
     if phi[3] == 0.0:
         raise IllConditionedError("boundary solve hit a vanishing pivot")
     r = -phi[2] / phi[3]
-    # det Phi = det S_0, multiplied from the last step down in the same
-    # order as the field's det S_k
-    det_u = updates[0] * updates[3] - updates[1] * updates[2]
-    t = np.prod(det_u[::-1]) / phi[3]
+    # det Phi = exp(tr Omega summed over the steps)
+    t = np.exp(np.sum(traces)) / phi[3]
     if not (np.isfinite(r) and np.isfinite(t)):
         raise IllConditionedError("boundary solve produced a non-finite coefficient")
     return ScatterResult(
@@ -317,21 +308,23 @@ def solve_bvp(omega, x, config):
         richardson_error=err,
         refinements=level,
         segments=1,
-        _build_field=partial(_field, nodes * scales.z_b, updates, det_u, r, t),
+        _build_field=partial(_field, nodes * scales.z_b, steps, traces, r, t, phi[3]),
     )
 
 
-def _field(z, updates, det_u, r, t):
+def _field(z, steps, traces, r, t, phi11):
     """Field on the nodes ``z`` of the accepted steps, from their suffix products.
 
-    S_k maps the field at node k to (t, 0) at z = L, so psi_k = S_k^{-1} (t, 0).
+    S_k maps the field at node k to (t, 0) at z = L, so psi_k = S_k^{-1} (t, 0),
+    and t / det S_k = det P_k / phi11 with P_k the product of the steps before
+    node k.
     """
-    s = _suffix_products(updates)
-    det_s = np.cumprod(det_u[::-1])[::-1]
+    s = _suffix_products(steps)
+    ratio = np.exp(np.cumsum(traces[:-1])) / phi11
     psi = np.empty((z.size, 2), dtype=np.complex128)
     psi[0] = (1.0, r)
-    psi[1:-1, 0] = t * s[3, 1:] / det_s[1:]
-    psi[1:-1, 1] = -t * s[2, 1:] / det_s[1:]
+    psi[1:-1, 0] = s[3, 1:] * ratio
+    psi[1:-1, 1] = -s[2, 1:] * ratio
     psi[-1] = (t, 0.0)
     return TwoModeField(z=z, e_right=psi[:, 0], e_left=psi[:, 1])
 
@@ -429,10 +422,10 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
 
     The coefficients are z-independent, so the fundamental matrix is
     ``Phi = exp(A)`` with ``A = -1j M L`` (L in blockade radii), and a 2x2
-    exponential has a closed form.  With ``m = tr A / 2``,
-    ``d = (a00 - a11) / 2`` and ``s = sqrt(d**2 + a01 a10)`` (principal
-    root, Re s >= 0), ``Phi = e^m [cosh s + sinh(s) / s (A - m)]``.  The
-    boundary solve gives ``r = -Phi10 / Phi11`` and
+    exponential has a closed form: with m, d and s from ``_invariants``
+    (principal root, Re s >= 0),
+    ``Phi = e^m [cosh s + sinh(s) / s (A - m)]``.  The boundary solve gives
+    ``r = -Phi10 / Phi11`` and
     ``t = det Phi / Phi11 = e^{2m} / Phi11``, evaluated as::
 
         t = 2 s e^{m - s} / D,   r = a10 expm1(-2 s) / D,
@@ -453,11 +446,7 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     a = (-1j * config.L / scales.z_b) * _coefficient_matrix(
         chi.chi_r, chi.chi_l, chi.chi_c, config.phi
     )
-    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-    m = 0.5 * (a00 + a11)
-    d = 0.5 * (a00 - a11)
-    a01_a10 = a01 * a10
-    s = np.sqrt(d * d + a01_a10)
+    m, d, s, a01_a10 = _invariants(a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1])
     s_plus_d = s + d
     s_minus_d = s - d
     aligned = np.abs(s_plus_d) >= np.abs(s_minus_d)
@@ -476,7 +465,7 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     t = np.ones(omega_grid.size, dtype=np.complex128)
     r = np.zeros(omega_grid.size, dtype=np.complex128)
     t[live] = 2.0 * s * np.exp(m - s) / denom
-    r[live] = a10 * em1 / denom
+    r[live] = a[:, 1, 0] * em1 / denom
     return T0Spectrum(omega=omega_grid.copy(), transmission=t, reflection=r)
 
 

@@ -206,10 +206,9 @@ class TestPropagateTask:
         assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
         assert abs(float(rows[-1][5])) < 1e-8  # no backward input at exit
 
-    @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 1, 3301), (0.45, 4, 26401)])
+    @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 1, 4801), (0.45, 1, 4801)])
     def test_one_row_per_node_of_the_accepted_grid(self, tmp_path, omega, refinements, rows):
-        # L = 24 z_b with the gate at 12 z_b: 6 z_b at 400 * 2**(k - 1) steps per
-        # radius and 18 z_b at 50 * 2**(k - 1), after k refinements
+        # L = 24 z_b at 100 * 2**k steps per radius after k refinements
         cfg = write_config(
             tmp_path, physical=PHYSICAL, task="propagate",
             task_params={"omega": omega}, output_dir=str(tmp_path / "out"),
