@@ -3,9 +3,10 @@
 Every run resolves one config file against a strict schema, computes all
 of its artifacts in memory, and only then writes them, under names carrying
 the run id, followed by ``manifest.json`` with the resolved parameters,
-derived scales, collected warnings, and artifact list.  The manifest comes
-last, so its presence certifies a complete run.  CSV bodies are deterministic
-for identical configs; only filenames and the manifest timestamp vary.
+derived scales, collected warnings, software versions and artifact list.
+The manifest comes last, so its presence certifies a complete run.  CSV
+bodies are deterministic for identical configs; only filenames and the
+manifest timestamp vary.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import warnings
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .core_model import PhysicalConfig, derive_scales
 from .errors import PolsimError, SchemaError
 from .fidelity import (
@@ -74,6 +77,10 @@ _TASK_PARAMS: dict[str, tuple[set, dict]] = {
 }
 
 _SCAN_OBSERVABLES = ("transparency_width", "cw_point")
+
+# tasks whose numbers come from scipy's adaptive quad (the spin-wave map);
+# the others never load scipy
+_QUADRATURE_TASKS = ("spinwave", "fidelity")
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +495,22 @@ _RUNNERS = {
 }
 
 
+def _versions(task: str) -> dict:
+    """Versions of the software behind a task's numbers.
+
+    scipy is listed for the tasks that ran its quadrature, read from the
+    module those tasks loaded, so the keys depend on the task alone.
+    """
+    versions = {
+        "polsim": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    if task in _QUADRATURE_TASKS:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return versions
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -567,6 +590,7 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
         },
         "derived_scales": dataclasses.asdict(scales),
         "warnings": soft_warnings + [str(w.message) for w in caught],
+        "versions": _versions(task),
     }
     manifest.update(extras)
     _commit(outdir, f"{timestamp}-{os.getpid()}", artifacts, manifest)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core_model import PhysicalConfig, derive_scales, trapezoid_weights
 from .errors import GridError, PositivityWarning, QuadratureError
@@ -102,7 +101,11 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
 
 def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
     # z, x, y in blockade-radius units; narrow features of unit width sit at
-    # z = x and z = y, so both are quadrature break points
+    # z = x and z = y, so both are quadrature break points.  scipy is
+    # imported here, not at module top, so that importing polsim and every
+    # task without a spin-wave map loads numpy alone.
+    from scipy.integrate import quad
+
     def integrand(z):
         u = (z - xr) ** 6
         v = (z - yr) ** 6

@@ -5,11 +5,13 @@ import errno
 import itertools
 import json
 import math
+import platform
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import polsim.cli
 import polsim.fidelity
@@ -94,6 +96,12 @@ class TestCwTask:
         assert manifest["task"] == "cw"
         assert manifest["warnings"] == []
         assert manifest["derived_scales"]["d_b"] == pytest.approx(5.0, rel=1e-12)
+        # no quadrature ran, so no scipy version
+        assert manifest["versions"] == {
+            "polsim": polsim.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
         for name in manifest["artifacts"]:
             assert (outdir / name).exists()
 
@@ -244,6 +252,7 @@ class TestSpinwaveTask:
         )
         assert main(["spinwave", "--config", str(cfg)]) == 0
         manifest = read_manifest(tmp_path / "out")
+        assert manifest["versions"]["scipy"] == scipy.__version__
         summary = manifest["spinwave_summary"]
         assert summary["trace"] == pytest.approx(1.0, abs=1e-10)
         assert summary["purity"] == pytest.approx(0.808338, abs=1e-3)
