@@ -13,7 +13,11 @@ matrices are held as four component arrays, so every matrix product is
 elementwise arithmetic over the steps.  Each step is the exact exponential
 of its fourth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)), whose error depends on how the coefficients vary along
-the step, not on their size, so deep media need no finer steps.  The base
+the step, not on their size, so deep media need no finer steps.  A 2x2
+exponential is e^m [cosh s + sinh(s)/s (Omega - m)], and cosh s and
+sinh(s)/s are entire functions of q = s**2: where |q| <= 1/4 (every step of
+a typical solve) they are short power series in q, and only wider steps
+take cosh and sinh of s = sqrt(q).  The base
 grid is uniform; up to four halvings follow, each reusing every
 coefficient of the coarser grid, and the finer grid of the first pair
 that agrees is accepted.  Every scattering quantity is then a ratio of
@@ -73,6 +77,19 @@ __all__ = [
 _STEP = 1.0 / 100.0
 _RICHARDSON_TOL = 1e-8
 _MAX_REFINEMENTS = 4
+
+# Step exponentials: cosh s and sinh(s)/s are summed as Taylor series in
+# q = s**2 wherever |q| <= _SERIES_MAX_Q.  Row k of _SERIES_COEFFS holds
+# 1/(2k)! and 1/(2k+1)!, and n terms serve |q| < _SERIES_Q_BOUNDS[n - 1],
+# where the first omitted term, |q|**n / (2n)!, is below 1e-17; eight terms
+# reach |q| = 0.35.
+_SERIES_MAX_Q = 0.25
+_SERIES_COEFFS = np.array(
+    [[[1.0 / math.factorial(2 * k)], [1.0 / math.factorial(2 * k + 1)]] for k in range(8)]
+)
+_SERIES_Q_BOUNDS = tuple(
+    (1e-17 * math.factorial(2 * n)) ** (1.0 / n) for n in range(1, len(_SERIES_COEFFS) + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -136,9 +153,11 @@ def propagation_matrix(z, x, omega, config):
 
 
 def _coefficient_matrix(chi_r, chi_l, chi_c, phi):
-    """``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``, shape ``(..., 2, 2)``."""
+    """``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``, shape ``(..., 2, 2)``.
+
+    The three arrays share one shape.
+    """
     ephi = cmath.exp(1j * phi)
-    chi_r, chi_l, chi_c = np.broadcast_arrays(chi_r, chi_l, chi_c)
     m = np.empty(chi_r.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = chi_r
     m[..., 0, 1] = chi_c * ephi
@@ -155,14 +174,12 @@ def _mul(p, q):
     """Elementwise 2x2 products p @ q of component stacks, shape (4, ...).
 
     A component stack holds the entries (m00, m01, m10, m11) of a field of
-    2x2 matrices as four arrays.
+    2x2 matrices as four arrays; on its (2, 2, ...) view the product is
+    p[i, 0] q[0, k] + p[i, 1] q[1, k] for all i, k at once.
     """
-    out = np.empty(p.shape, dtype=np.complex128)
-    out[0] = p[0] * q[0] + p[1] * q[2]
-    out[1] = p[0] * q[1] + p[1] * q[3]
-    out[2] = p[2] * q[0] + p[3] * q[2]
-    out[3] = p[2] * q[1] + p[3] * q[3]
-    return out
+    a = p.reshape((2, 2) + p.shape[1:])
+    b = q.reshape((2, 2) + q.shape[1:])
+    return (a[:, :1] * b[:1] + a[:, 1:] * b[1:]).reshape(p.shape)
 
 
 def _interleave(nodes, mid):
@@ -180,36 +197,67 @@ def _magnus_steps(nodes_zb, a_nodes, a_mid):
     the nodes (``a_nodes``) and the step midpoints (``a_mid``).  Each step's
     fourth-order Magnus exponent is
     Omega = h/6 (A_a + 4 A_m + A_b) - h**2/12 [A_m, A_b - A_a], and its
-    exponential is e^m [cosh s + sinh(s)/s (Omega - m)] with m, d and s
-    from ``_invariants`` (sinh(s)/s = 1 at s = 0, which every cw step
-    reaches: the cw matrix is nilpotent).
+    exponential is e^m [cosh s + sinh(s)/s (Omega - m)] with m, d and
+    q = s**2 from ``_invariants``.  Both functions of s are taken as series
+    in q where |q| <= ``_SERIES_MAX_Q``, so no root is needed and a
+    nilpotent step (q = 0, as every cw step is) is no special case.
     """
     h = np.diff(nodes_zb)
     a_a = a_nodes[:, :-1]
     a_b = a_nodes[:, 1:]
-    diff = a_b - a_a
     exponent = (h / 6.0) * (a_a + 4.0 * a_mid + a_b)
-    exponent -= (h * h / 12.0) * (_mul(a_mid, diff) - _mul(diff, a_mid))
-    m, d, s, _ = _invariants(*exponent)
-    e = np.exp(m)
-    sinhc = e * np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0.0)
-    cosh = e * np.cosh(s)
+    exponent -= (h * h / 12.0) * _commutator(a_mid, a_b - a_a)
+    m, d, q, _ = _invariants(*exponent)
+    abs_q = np.abs(q)
+    q_max = float(np.max(abs_q))
+    terms = next(
+        (n for n, bound in enumerate(_SERIES_Q_BOUNDS, 1) if q_max < bound),
+        len(_SERIES_COEFFS),
+    )
+    # rows: cosh s and sinh(s)/s, by Horner's rule in q
+    series = _SERIES_COEFFS[terms - 1]
+    for coeff in _SERIES_COEFFS[: terms - 1][::-1]:
+        series = series * q + coeff
+    if q_max > _SERIES_MAX_Q:
+        wide = abs_q > _SERIES_MAX_Q
+        s = np.sqrt(q[wide])
+        series[0, wide] = np.cosh(s)
+        series[1, wide] = np.sinh(s) / s
+    cosh, sinhc = series * np.exp(m)
     steps = exponent * sinhc
-    steps[0] = cosh + sinhc * d
-    steps[3] = cosh - sinhc * d
+    sinhc_d = sinhc * d
+    np.add(cosh, sinhc_d, out=steps[0])
+    np.subtract(cosh, sinhc_d, out=steps[3])
     return steps, 2.0 * m
 
 
+def _commutator(a, b):
+    """[a, b] = a @ b - b @ a of component stacks, in closed form.
+
+    The commutator of 2x2 matrices is traceless: with da = a00 - a11 and
+    db = b00 - b11 its entries are c00 = a01 b10 - a10 b01 = -c11,
+    c01 = da b01 - db a01 and c10 = db a10 - da b10.
+    """
+    da = a[0] - a[3]
+    db = b[0] - b[3]
+    c = np.empty(a.shape, dtype=np.complex128)
+    c[0] = a[1] * b[2] - a[2] * b[1]
+    c[1] = da * b[1] - db * a[1]
+    c[2] = db * a[2] - da * b[2]
+    np.negative(c[0], out=c[3])
+    return c
+
+
 def _invariants(a00, a01, a10, a11):
-    """``(m, d, s, a01 a10)`` of exp(A) = e^m [cosh s + sinh(s)/s (A - m)].
+    """``(m, d, q, a01 a10)`` of exp(A) = e^m [cosh s + sinh(s)/s (A - m)].
 
     For the 2x2 matrix A with entries ``a00 .. a11``: m = tr A / 2,
-    d = (a00 - a11) / 2 and s = sqrt(d**2 + a01 a10), the principal root.
+    d = (a00 - a11) / 2 and q = s**2 = d**2 + a01 a10.
     """
     m = 0.5 * (a00 + a11)
     d = 0.5 * (a00 - a11)
     a01_a10 = a01 * a10
-    return m, d, np.sqrt(d * d + a01_a10), a01_a10
+    return m, d, d * d + a01_a10, a01_a10
 
 
 def _tree_product(steps):
@@ -254,7 +302,7 @@ def solve_bvp(omega, x, config):
         with np.errstate(over="ignore", invalid="ignore"):
             steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
             phi = _tree_product(steps)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise IllConditionedError(
                 f"fundamental matrix overflows at refinement level {level} "
                 f"({steps.shape[1]} steps)"
@@ -422,8 +470,8 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
 
     The coefficients are z-independent, so the fundamental matrix is
     ``Phi = exp(A)`` with ``A = -1j M L`` (L in blockade radii), and a 2x2
-    exponential has a closed form: with m, d and s from ``_invariants``
-    (principal root, Re s >= 0),
+    exponential has a closed form: with m, d and q from ``_invariants`` and
+    s = sqrt(q) (principal root, Re s >= 0),
     ``Phi = e^m [cosh s + sinh(s) / s (A - m)]``.  The boundary solve gives
     ``r = -Phi10 / Phi11`` and
     ``t = det Phi / Phi11 = e^{2m} / Phi11``, evaluated as::
@@ -446,7 +494,8 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     a = (-1j * config.L / scales.z_b) * _coefficient_matrix(
         chi.chi_r, chi.chi_l, chi.chi_c, config.phi
     )
-    m, d, s, a01_a10 = _invariants(a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1])
+    m, d, q, a01_a10 = _invariants(a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1])
+    s = np.sqrt(q)
     s_plus_d = s + d
     s_minus_d = s - d
     aligned = np.abs(s_plus_d) >= np.abs(s_minus_d)

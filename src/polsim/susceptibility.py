@@ -60,7 +60,7 @@ def xi(omega, config: PhysicalConfig):
     of the atomic response fails, which is why the CW limit has its own
     closed form.
     """
-    if np.any(np.equal(omega, 0.0)):
+    if np.equal(omega, 0.0).any():
         raise SingularFrequencyError("xi is singular at omega = 0; use the CW path")
     return omega + 1j * config.gamma - config.Omega**2 / omega
 
@@ -80,7 +80,7 @@ def _chi_arrays(dz, omega, config, scales):
     has a pole that cancels.  The pole check is the unscaled one with both
     sides multiplied by ``p``.
     """
-    if np.any(np.equal(omega, 0.0)):
+    if np.equal(omega, 0.0).any():
         raise SingularFrequencyError(
             "finite-frequency susceptibilities are singular at omega = 0; "
             "use chi0_cw for the CW limit"
@@ -96,22 +96,24 @@ def _chi_arrays(dz, omega, config, scales):
     with np.errstate(divide="ignore"):
         w = omega * p - 1.0 / (1.0 + a / V)
     s2 = config.OmegaS**2 * p
-    num_r = x * w - s2
+    x_w = x * w
+    num_r = x_w - s2
     denom = x * num_r - w * om4_w2
-    scale = np.abs(x) * (np.abs(x * w) + s2) + np.abs(w) * om4_w2
+    scale = np.abs(x) * (np.abs(x_w) + s2) + np.abs(w) * om4_w2
     pole = np.abs(denom) <= _POLE_REL_TOL * scale
-    if np.any(pole):
+    if pole.any():
         at = int(np.argmax(pole))
         raise SusceptibilityPoleError(
             dz=np.broadcast_to(dz, pole.shape).flat[at].item(),
             omega=np.broadcast_to(omega, pole.shape).flat[at].item(),
         )
-
-    chi_r = -omega / config.c + g2_c * num_r / denom
-    chi_l = omega / config.c - g2_c * x * w / denom
-    chi_c = g2_c * (om2 / omega) * w / denom
-    z_b = scales.z_b
-    return z_b * chi_r, z_b * chi_l, z_b * chi_c
+    # rescaled by z_b, the three share one reciprocal of the denominator
+    inv = scales.z_b * g2_c / denom
+    free = scales.z_b * omega / config.c
+    chi_r = num_r * inv - free
+    chi_l = free - x_w * inv
+    chi_c = (om2 / omega) * w * inv
+    return chi_r, chi_l, chi_c
 
 
 def _sixth_power(u):

@@ -400,7 +400,7 @@ class TestKernelAgainstStackedReference:
 class TestAcceptedGridAgainstFinestGrid:
     """Accepted solves against a plain RK4 product on a fine uniform grid.
 
-    The oracle multiplies RK4 steps at 6400 per blockade radius, 32 times
+    The oracle multiplies RK4 steps at 6400 per blockade radius, 64 times
     finer than the base grid, and applies no Richardson test, so it bounds
     what accepting the first agreeing pair of grids costs in R and T.
     """
@@ -428,6 +428,173 @@ class TestAcceptedGridAgainstFinestGrid:
 
     def test_closed_form_has_no_refinements(self):
         assert cw_analytic(12.0, make_config(5.0)).refinements == 0
+
+
+def component_stack(mats):
+    """(4, n) component stack of an (n, 2, 2) array of matrices."""
+    return np.ascontiguousarray(mats.reshape(-1, 4).T)
+
+
+def random_matrices(rng, n, scale=1.0):
+    return scale * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+
+
+def with_invariant(rng, n, q):
+    """(n, 2, 2) random complex matrices scaled so that d**2 + a01 a10 = q in size."""
+    mats = random_matrices(rng, n)
+    d = 0.5 * (mats[:, 0, 0] - mats[:, 1, 1])
+    own = d * d + mats[:, 0, 1] * mats[:, 1, 0]
+    return mats * np.sqrt(abs(q) / np.abs(own))[:, None, None]
+
+
+def run_magnus_steps(a_nodes, a_mid, nodes=None):
+    """``_magnus_steps`` on (n + 1, 2, 2) node and (n, 2, 2) midpoint matrices.
+
+    Returns the (n, 2, 2) steps, the traces, and the (n, 2, 2) exponents
+    formed independently with ``np.matmul`` for the commutator.
+    """
+    n = len(a_mid)
+    nodes = np.arange(n + 1, dtype=float) if nodes is None else nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps, traces = propagation._magnus_steps(
+            nodes, component_stack(a_nodes), component_stack(a_mid)
+        )
+    h = np.diff(nodes)[:, None, None]
+    a_a, a_b = a_nodes[:-1], a_nodes[1:]
+    diff = a_b - a_a
+    exponent = (h / 6.0) * (a_a + 4.0 * a_mid + a_b)
+    exponent -= (h * h / 12.0) * (a_mid @ diff - diff @ a_mid)
+    return steps.T.reshape(-1, 2, 2), traces, exponent
+
+
+def exponents_only(omegas):
+    """Node and midpoint matrices whose unit steps have the exponents ``omegas``."""
+    return np.zeros((len(omegas) + 1, 2, 2), dtype=complex), 1.5 * omegas
+
+
+class TestStepExponential:
+    """``_magnus_steps`` against ``scipy.linalg.expm`` of the same exponent."""
+
+    @staticmethod
+    def assert_exponentials(a_nodes, a_mid, nodes=None):
+        steps, traces, exponent = run_magnus_steps(a_nodes, a_mid, nodes)
+        want = scipy.linalg.expm(exponent)
+        size = np.max(np.abs(want), axis=(1, 2))
+        assert np.all(np.max(np.abs(steps - want), axis=(1, 2)) <= 1e-13 * size)
+        tr = np.trace(exponent, axis1=1, axis2=2)
+        assert np.allclose(traces, tr, rtol=1e-14, atol=1e-300)
+        # det(step) = exp(tr Omega), to round-off on the two products it cancels
+        prods = steps[:, 0, 0] * steps[:, 1, 1], steps[:, 0, 1] * steps[:, 1, 0]
+        cancel = np.abs(prods[0]) + np.abs(prods[1])
+        assert np.all(np.abs(prods[0] - prods[1] - np.exp(tr)) <= 1e-13 * cancel)
+        return steps, exponent
+
+    def test_nilpotent_steps(self):
+        # every cw exponent is a multiple of [[1, -1], [1, -1]], so q = 0
+        # exactly and exp(Omega) = 1 + Omega
+        nilpotent = np.array([[1.0, -1.0], [1.0, -1.0]])
+        scale = np.array([0.0, 1e-3, 0.7 - 0.2j, 2.0j])
+        steps, exponent = self.assert_exponentials(
+            *exponents_only(scale[:, None, None] * nilpotent)
+        )
+        _, _, q, _ = propagation._invariants(*component_stack(exponent))
+        assert np.all(q == 0.0)
+        assert np.array_equal(steps, np.eye(2) + exponent)
+        # expm's squaring loses 1e-9 relative on large nilpotent exponents,
+        # so there the exact 1 + Omega is the oracle
+        scale = np.array([30.0j, 1e3])
+        steps, _, exponent = run_magnus_steps(
+            *exponents_only(scale[:, None, None] * nilpotent)
+        )
+        assert np.array_equal(steps, np.eye(2) + exponent)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-14])
+    def test_near_exceptional_steps(self, eps):
+        rng = np.random.default_rng(7)
+        nilpotent = np.array([[1.0, -1.0], [1.0, -1.0]])
+        scale = rng.uniform(0.1, 3.0, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+        omegas = scale[:, None, None] * nilpotent + eps * random_matrices(rng, 6)
+        _, _, q, _ = propagation._invariants(*component_stack(omegas))
+        assert np.all(np.abs(q) <= 1e-4 * np.abs(scale) ** 2)
+        self.assert_exponentials(*exponents_only(omegas))
+
+    @pytest.mark.parametrize(
+        "q", [1e-12, 1e-7, 1e-5, 5e-4, 5e-3, 0.03, 0.1, 0.2499, 0.2501, 0.5, 3.0, 1e2]
+    )
+    def test_invariant_sizes_on_both_sides_of_the_switch(self, q):
+        # the series serves |q| <= 1/4 with as many terms as the largest |q|
+        # needs; wider steps take cosh and sinh of sqrt(q), up to deep media
+        rng = np.random.default_rng(11)
+        omegas = with_invariant(rng, 16, q)
+        _, _, got, _ = propagation._invariants(*component_stack(omegas))
+        assert np.allclose(np.abs(got), q, rtol=1e-12)
+        self.assert_exponentials(*exponents_only(omegas))
+
+    def test_mixed_stack_with_commutators(self):
+        # one call with steps on every route, from coefficients that vary
+        # along the step, so the commutator term is in play
+        rng = np.random.default_rng(5)
+        sizes = [0.0, 1e-9, 1e-4, 0.2, 0.26, 4.0, 1e2]
+        a_mid = np.concatenate([with_invariant(rng, 4, q) for q in sizes])
+        a_nodes = random_matrices(rng, len(a_mid) + 1, 0.3)
+        nodes = np.cumsum(np.r_[0.0, rng.uniform(0.5, 1.5, len(a_mid))])
+        self.assert_exponentials(a_nodes, a_mid, nodes)
+
+
+class TestComponentProducts:
+    """``_mul``, ``_tree_product`` and ``_suffix_products`` against matmul."""
+
+    @staticmethod
+    def entrywise(p, q):
+        return np.stack([
+            p[0] * q[0] + p[1] * q[2],
+            p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2],
+            p[2] * q[1] + p[3] * q[3],
+        ])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 1001])
+    def test_mul_is_the_entrywise_product(self, n):
+        rng = np.random.default_rng(n)
+        x = component_stack(random_matrices(rng, n))
+        y = component_stack(random_matrices(rng, n))
+        assert np.array_equal(propagation._mul(x, y), self.entrywise(x, y))
+        # the strided odd and even halves that one tree level multiplies
+        half = n // 2
+        odd, even = x[:, 1 : 2 * half : 2], x[:, 0 : 2 * half : 2]
+        assert np.array_equal(propagation._mul(odd, even), self.entrywise(odd, even))
+        # a stack with the odd tail appended, as the next level gets it
+        tail = np.concatenate([propagation._mul(odd, even), x[:, -1:]], axis=1)
+        assert np.array_equal(propagation._mul(tail, tail), self.entrywise(tail, tail))
+        # more than one trailing axis
+        x2, y2 = x[:, : 2 * half].reshape(4, 2, half), y[:, : 2 * half].reshape(4, 2, half)
+        assert np.array_equal(propagation._mul(x2, y2), self.entrywise(x2, y2))
+
+    @staticmethod
+    def near_identity_steps(n):
+        rng = np.random.default_rng(n)
+        return np.eye(2) + random_matrices(rng, n, 0.05)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 500, 1001])
+    def test_tree_product_matches_sequential_product(self, n):
+        mats = self.near_identity_steps(n)
+        want = np.eye(2, dtype=complex)
+        for u in mats:
+            want = u @ want
+        got = propagation._tree_product(component_stack(mats))
+        assert np.allclose(got.reshape(2, 2), want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    def test_suffix_products_match_sequential_products(self, n):
+        mats = self.near_identity_steps(n)
+        want = np.empty_like(mats)
+        acc = np.eye(2, dtype=complex)
+        for k in range(n - 1, -1, -1):
+            acc = acc @ mats[k]
+            want[k] = acc
+        got = propagation._suffix_products(component_stack(mats)).T.reshape(-1, 2, 2)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
 class TestFieldOnFirstRead:
