@@ -13,7 +13,6 @@ from .core_model import (
     derive_scales,
     gaussian_pulse_spectrum,
     trapezoid_weights,
-    vdw_potential,
 )
 from .errors import (
     FitWindowError,
@@ -88,7 +87,7 @@ __all__ = [
     "__version__",
     # core model
     "PhysicalConfig", "DerivedScales", "PulseSpec", "derive_scales",
-    "gaussian_pulse_spectrum", "trapezoid_weights", "vdw_potential",
+    "gaussian_pulse_spectrum", "trapezoid_weights",
     # susceptibility
     "SusceptibilityTriple", "susceptibilities", "free_susceptibilities",
     "xi", "chi0_cw", "nu", "NU_INFINITY",

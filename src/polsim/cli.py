@@ -320,7 +320,10 @@ def _run_t0(cfg, scales, params):
 
 def _run_propagate(cfg, scales, params):
     omega = _number(params, "omega", "task_params")
-    result = solve_bvp(omega, cfg.x_gate, cfg)
+    if omega == 0.0:
+        result = cw_analytic(cfg.x_gate, cfg)
+    else:
+        result = solve_bvp(omega, cfg.x_gate, cfg)
     er, el = result.field.e_right, result.field.e_left
     columns = [
         result.field.z,

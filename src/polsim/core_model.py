@@ -29,7 +29,6 @@ __all__ = [
     "DerivedScales",
     "PulseSpec",
     "derive_scales",
-    "vdw_potential",
     "gaussian_pulse_spectrum",
     "trapezoid_weights",
 ]
@@ -146,17 +145,6 @@ def derive_scales(config: PhysicalConfig) -> DerivedScales:
         gamma_eit=gamma_eit,
         delta_omega0=delta_omega0,
     )
-
-
-def vdw_potential(dz: float, config: PhysicalConfig) -> float:
-    """Van der Waals shift ``C6 / |dz|**6`` at separation ``dz`` from the gate.
-
-    The potential is singular at zero separation; ``dz == 0`` raises rather
-    than being clamped, so callers must treat the gate point explicitly.
-    """
-    if dz == 0.0:
-        raise ValueError("van der Waals potential is singular at dz = 0")
-    return config.C6 / dz**6
 
 
 @dataclass(frozen=True)

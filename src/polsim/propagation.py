@@ -3,9 +3,9 @@
 The steady-state envelopes (E_right, E_left) obey a linear z-dependent
 2x2 ODE whose coefficients are the local susceptibilities of the medium.
 This module integrates that ODE as a boundary value problem (probe
-entering from the left, nothing entering from the right), both at finite
-probe frequency and in the exact zero-frequency (cw) limit, where the
-closed-form solution is also provided for cross-checking.
+entering from the left, nothing entering from the right) at finite probe
+frequency.  At zero frequency the coefficient matrix is nilpotent and the
+solution has a closed form, ``cw_analytic``, which is the only route there.
 
 The integrator works on the dimensionless coordinate zeta = z / z_b in
 which the rescaled susceptibilities are per-unit-length.  Fields of 2x2
@@ -49,7 +49,6 @@ from .errors import (
 )
 from .susceptibility import (
     NU_INFINITY,
-    chi0_cw,
     free_susceptibilities,
     nu,
     susceptibilities,
@@ -109,10 +108,9 @@ class ScatterResult:
     ``absorption`` the power unaccounted for by either.  ``refinements``
     counts the step halvings of the accepted grid (1 to ``_MAX_REFINEMENTS``
     for a numerical solve) and ``segments`` is 1 for a numerical solve; both
-    are 0 for closed-form results.  ``field`` (a
-    ``TwoModeField``, or None where none was asked for) is built by
-    ``_build_field`` on first read and kept, so a caller that needs only
-    the coefficients never pays for it.
+    are 0 for closed-form results.  ``field`` is built by ``_build_field``
+    on first read and kept, so a caller that needs only the coefficients
+    never pays for it.
     """
 
     omega: float
@@ -123,12 +121,10 @@ class ScatterResult:
     richardson_error: float
     refinements: int
     segments: int
-    _build_field: Callable[[], TwoModeField | None] = dataclass_field(
-        repr=False, compare=False
-    )
+    _build_field: Callable[[], TwoModeField] = dataclass_field(repr=False, compare=False)
 
     @cached_property
-    def field(self) -> TwoModeField | None:
+    def field(self) -> TwoModeField:
         return self._build_field()
 
 
@@ -138,17 +134,13 @@ def propagation_matrix(z, x, omega, config):
     Structure ``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``,
     per unit zeta = z / z_b.  ``z`` may be a scalar or array of physical
     positions; the returned array has shape ``z.shape + (2, 2)``, and a
-    scalar ``z`` gives the bits of the matching array element.  At
-    ``omega == 0`` the exact zero-frequency (cw) kernel is used: the three
-    susceptibilities collapse to chi_r = -chi_l = -chi_c.
+    scalar ``z`` gives the bits of the matching array element.  ``omega``
+    must be nonzero: ``omega == 0`` raises ``SingularFrequencyError``, and
+    the zero-frequency scattering is ``cw_analytic``.
     """
     dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
-    if omega == 0.0:
-        k = chi0_cw(dz, derive_scales(config))
-        m = _coefficient_matrix(k, -k, -k, config.phi)
-    else:
-        chi = susceptibilities(dz, omega, config)
-        m = _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
+    chi = susceptibilities(dz, omega, config)
+    m = _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
     return m[0] if np.ndim(z) == 0 else m
 
 
@@ -200,7 +192,7 @@ def _magnus_steps(nodes_zb, a_nodes, a_mid):
     exponential is e^m [cosh s + sinh(s)/s (Omega - m)] with m, d and
     q = s**2 from ``_invariants``.  Both functions of s are taken as series
     in q where |q| <= ``_SERIES_MAX_Q``, so no root is needed and a
-    nilpotent step (q = 0, as every cw step is) is no special case.
+    nilpotent step (q = 0) is no special case.
     """
     h = np.diff(nodes_zb)
     a_a = a_nodes[:, :-1]
@@ -285,9 +277,9 @@ def _suffix_products(steps):
 def solve_bvp(omega, x, config):
     """Scattering of a unit probe at frequency ``omega`` off a gate at ``x``.
 
-    Boundary conditions: E_right(0) = 1 and E_left(L) = 0.  ``omega = 0``
-    solves the regular zero-frequency (cw) problem numerically;
-    ``cw_analytic`` is its closed form.
+    Boundary conditions: E_right(0) = 1 and E_left(L) = 0.  ``omega`` must
+    be nonzero: ``omega == 0`` raises ``SingularFrequencyError``, and the
+    zero-frequency scattering is ``cw_analytic``.
     """
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
@@ -377,27 +369,20 @@ def _field(z, steps, traces, r, t, phi11):
     return TwoModeField(z=z, e_right=psi[:, 0], e_left=psi[:, 1])
 
 
-def cw_analytic(x, config, z=None):
+def cw_analytic(x, config):
     """Closed-form zero-frequency scattering off a gate at ``x``.
 
     The cw coefficient matrix is nilpotent, so the fundamental matrix
     truncates after the linear term and everything is expressed through
-    the running kernel integral.  ``z`` (optional array of physical
-    positions) selects where the fields are evaluated.
+    the running kernel integral nu(z): R = e^{-i phi} nu(L) / (1 + nu(L)).
+    The field is built on first read, on the nodes ``solve_bvp`` accepts
+    after one halving (200 steps per blockade radius).
     """
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
     scales = derive_scales(config)
     nu_total = nu(config.L, x, scales)
     t, r, loss = _cw_coefficients(nu_total.real, nu_total.imag, config.phi)
-    field = None
-    if z is not None:
-        z = np.asarray(z, dtype=float)
-        nu_run = nu(z, x, scales)
-        denom = 1.0 + nu_total
-        e_right = 1.0 - nu_run / denom
-        e_left = cmath.exp(-1j * config.phi) * (nu_total - nu_run) / denom
-        field = TwoModeField(z=z, e_right=e_right, e_left=e_left)
     return ScatterResult(
         omega=0.0,
         x=float(x),
@@ -407,8 +392,27 @@ def cw_analytic(x, config, z=None):
         richardson_error=0.0,
         refinements=0,
         segments=0,
-        _build_field=lambda: field,
+        _build_field=partial(_cw_field, x, config, scales, nu_total, r, t),
     )
+
+
+def _cw_field(x, config, scales, nu_total, r, t):
+    """Closed-form cw field with end rows (1, r) and (t, 0), as in ``_field``.
+
+    E_right = (1 + nu(L) - nu(z)) / (1 + nu(L)) and
+    E_left = e^{-i phi} (nu(L) - nu(z)) / (1 + nu(L)), on the base nodes
+    interleaved with their midpoints: the grid of ``solve_bvp`` at level 1.
+    """
+    nodes = _build_nodes(config.L / scales.z_b)
+    z = _interleave(nodes, 0.5 * (nodes[:-1] + nodes[1:])) * scales.z_b
+    rest = nu_total - nu(z[1:-1], x, scales)
+    denom = 1.0 + nu_total
+    psi = np.empty((z.size, 2), dtype=np.complex128)
+    psi[0] = (1.0, r)
+    psi[1:-1, 0] = (1.0 + rest) / denom
+    psi[1:-1, 1] = cmath.exp(-1j * config.phi) * rest / denom
+    psi[-1] = (t, 0.0)
+    return TwoModeField(z=z, e_right=psi[:, 0], e_left=psi[:, 1])
 
 
 def cw_bulk_coefficients(d_b, phi=0.0):

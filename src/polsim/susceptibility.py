@@ -14,9 +14,11 @@ Two conventions hold throughout the package:
 * returned susceptibilities are rescaled by the blockade radius ``z_b``,
   so integrating them over ``z`` measured in units of ``z_b`` gives the
   dimensionless accumulated phase/absorption;
-* ``omega = 0`` is served by the dedicated continuous-wave kernel
-  ``chi0_cw`` (a single complex Lorentzian of the scaled separation), never
-  by the finite-frequency formulas, which are singular there.
+* the finite-frequency formulas are singular at ``omega = 0`` and raise
+  ``SingularFrequencyError`` there; zero-frequency scattering is the closed
+  form ``propagation.cw_analytic``, built from the continuous-wave kernel
+  ``chi0_cw`` (a single complex Lorentzian of the scaled separation) and
+  its integral ``nu``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def xi(omega, config: PhysicalConfig):
     closed form.
     """
     if np.equal(omega, 0.0).any():
-        raise SingularFrequencyError("xi is singular at omega = 0; use the CW path")
+        raise SingularFrequencyError("xi is singular at omega = 0; use cw_analytic")
     return omega + 1j * config.gamma - config.Omega**2 / omega
 
 
@@ -83,7 +85,7 @@ def _chi_arrays(dz, omega, config, scales):
     if np.equal(omega, 0.0).any():
         raise SingularFrequencyError(
             "finite-frequency susceptibilities are singular at omega = 0; "
-            "use chi0_cw for the CW limit"
+            "use cw_analytic for the CW limit"
         )
     x = xi(omega, config)
     om2 = config.Omega**2
@@ -144,7 +146,8 @@ def susceptibilities(dz: float, omega: float, config: PhysicalConfig) -> Suscept
     ``dz`` may be a scalar or array of real separations, including 0 (taken
     as the fully blockaded limit of the potential); the triple components
     match its shape, and a scalar gives the bits of the matching array
-    element.  ``omega`` must be nonzero; the CW response is ``chi0_cw``.
+    element.  ``omega`` must be nonzero; zero-frequency scattering is
+    ``cw_analytic``.
 
     Raises
     ------

@@ -185,38 +185,41 @@ class TestT0Task:
 
 
 class TestPropagateTask:
-    def test_resonant_run_uses_cw_solver(self, tmp_path, monkeypatch):
+    def test_resonant_run_uses_closed_form(self, tmp_path, monkeypatch):
         calls = []
-        solve_bvp = polsim.cli.solve_bvp
+        closed_form = polsim.cli.cw_analytic
 
-        def spy(omega, *args, **kwargs):
-            calls.append(omega)
-            return solve_bvp(omega, *args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return closed_form(*args, **kwargs)
 
         def never(*args, **kwargs):
-            raise AssertionError("propagate must solve the cw problem numerically")
+            raise AssertionError("propagate must take the cw closed form")
 
-        monkeypatch.setattr(polsim.cli, "solve_bvp", spy)
-        monkeypatch.setattr(polsim.cli, "cw_analytic", never)
-        cfg = write_config(
-            tmp_path, physical=PHYSICAL, task="propagate",
-            task_params={"omega": 0.0}, output_dir=str(tmp_path / "out"),
-        )
-        assert main(["propagate", "--config", str(cfg)]) == 0
-        assert calls == [0.0]
-        manifest = read_manifest(tmp_path / "out")
+        monkeypatch.setattr(polsim.cli, "cw_analytic", spy)
+        monkeypatch.setattr(polsim.cli, "solve_bvp", never)
         closed = cw_analytic(PHYSICAL["x_gate"], PhysicalConfig(**PHYSICAL))
-        assert manifest["reflection"]["abs"] == pytest.approx(
-            abs(closed.reflection), rel=1e-6
-        )
-        assert manifest["absorption"] == pytest.approx(closed.absorption, rel=1e-6)
-        rows = csv_rows(tmp_path / "out" / manifest["artifacts"][0])
-        assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
-        assert abs(float(rows[-1][5])) < 1e-8  # no backward input at exit
+        for k, omega in enumerate((0.0, -0.0)):
+            out = tmp_path / f"out{k}"
+            cfg = write_config(
+                tmp_path, physical=PHYSICAL, task="propagate",
+                task_params={"omega": omega}, output_dir=str(out),
+            )
+            assert main(["propagate", "--config", str(cfg)]) == 0
+            assert len(calls) == k + 1
+            manifest = read_manifest(out)
+            for key, value in (("reflection", closed.reflection),
+                               ("transmission", closed.transmission)):
+                assert manifest[key] == {"re": value.real, "im": value.imag, "abs": abs(value)}
+            assert manifest["absorption"] == closed.absorption
+            rows = csv_rows(out / manifest["artifacts"][0])
+            assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
+            assert float(rows[-1][5]) == 0.0  # no backward input at exit
 
-    @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 1, 4801), (0.45, 1, 4801)])
+    @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 0, 4801), (0.45, 1, 4801)])
     def test_one_row_per_node_of_the_accepted_grid(self, tmp_path, omega, refinements, rows):
-        # L = 24 z_b at 100 * 2**k steps per radius after k refinements
+        # L = 24 z_b at 100 * 2**k steps per radius after k refinements; the
+        # closed form at omega = 0 writes the grid of one refinement
         cfg = write_config(
             tmp_path, physical=PHYSICAL, task="propagate",
             task_params={"omega": omega}, output_dir=str(tmp_path / "out"),
@@ -224,20 +227,25 @@ class TestPropagateTask:
         assert main(["propagate", "--config", str(cfg)]) == 0
         manifest = read_manifest(tmp_path / "out")
         assert manifest["refinements"] == refinements
-        assert 0.0 <= manifest["richardson_error"] <= 1e-8
+        if refinements:
+            assert 0.0 <= manifest["richardson_error"] <= 1e-8
+        else:
+            assert manifest["richardson_error"] == 0.0
         assert len(csv_rows(tmp_path / "out" / manifest["artifacts"][0])) == 1 + rows
 
-    def test_z_column_is_in_metres(self, tmp_path):
+    @pytest.mark.parametrize("omega", [0.0, 0.45])
+    def test_z_column_is_in_metres(self, tmp_path, omega):
         # C6 = 64 makes z_b = 2, so a column scaled by z_b twice ends at 2 L
         physical = dict(PHYSICAL, C6=64.0, L=48.0, x_gate=24.0)
         cfg = write_config(
             tmp_path, physical=physical, task="propagate",
-            task_params={"omega": 0.0}, output_dir=str(tmp_path / "out"),
+            task_params={"omega": omega}, output_dir=str(tmp_path / "out"),
         )
         assert main(["propagate", "--config", str(cfg)]) == 0
         manifest = read_manifest(tmp_path / "out")
         assert manifest["derived_scales"]["z_b"] == pytest.approx(2.0, rel=1e-12)
         rows = csv_rows(tmp_path / "out" / manifest["artifacts"][0])
+        assert len(rows) == 1 + 4801
         assert rows[0][0] == "z (m)"
         assert float(rows[1][0]) == 0.0
         assert float(rows[-1][0]) == pytest.approx(48.0, rel=1e-12)

@@ -12,7 +12,6 @@ from polsim.core_model import (
     derive_scales,
     gaussian_pulse_spectrum,
     trapezoid_weights,
-    vdw_potential,
 )
 from polsim.errors import GridError
 
@@ -120,23 +119,6 @@ class TestDeriveScales:
         assert b.d == pytest.approx(a.d, rel=1e-10)
         assert b.gamma_eit == pytest.approx(a.gamma_eit * s, rel=1e-10)
         assert b.delta_omega0 == pytest.approx(a.delta_omega0 * s, rel=1e-10)
-
-
-class TestVdwPotential:
-    def test_inverse_sixth_power(self):
-        cfg = make_config(C6=1.0)
-        assert vdw_potential(2.0, cfg) == pytest.approx(1.0 / 64.0, rel=1e-14)
-
-    def test_zero_separation_raises(self):
-        with pytest.raises(ValueError):
-            vdw_potential(0.0, make_config())
-
-    @given(dz=st.floats(min_value=1e-3, max_value=1e3))
-    @settings(max_examples=50, deadline=None)
-    def test_even_and_scale_free(self, dz):
-        cfg = make_config(C6=4.0)
-        assert vdw_potential(-dz, cfg) == vdw_potential(dz, cfg)
-        assert vdw_potential(dz, cfg) * dz**6 == pytest.approx(cfg.C6, rel=1e-12)
 
 
 class TestTrapezoidWeights:

@@ -1,10 +1,12 @@
 """Tests for the two-mode boundary-value solver and its closed forms.
 
-The central check is dual-route: the numerical integrator against the
-exact zero-frequency solution built from the kernel integral, pointwise
-along the medium, over a sweep of depths and gate positions.
+The solver runs at finite frequency only; zero frequency is the closed form
+``cw_analytic``.  Both are checked against slow oracles built here: Magnus
+steps from ``scipy.linalg.expm`` and a plain RK4 product, on the solver's
+coefficient matrix or, at zero frequency, on the cw kernel ``chi0_cw``.
 """
 
+import inspect
 import math
 import warnings
 
@@ -24,6 +26,7 @@ from polsim.errors import (
     IllConditionedError,
     PolsimError,
     QuadratureError,
+    SingularFrequencyError,
 )
 from polsim.propagation import (
     _build_nodes,
@@ -37,7 +40,7 @@ from polsim.propagation import (
     transparency_width_study,
 )
 from polsim.fidelity import reflection_spectrum
-from polsim.susceptibility import free_susceptibilities
+from polsim.susceptibility import chi0_cw, free_susceptibilities
 
 
 def make_config(d_b, L=24.0, **overrides):
@@ -51,16 +54,13 @@ def make_config(d_b, L=24.0, **overrides):
 
 
 class TestPropagationMatrix:
-    def test_cw_matrix_at_gate_point(self):
+    def test_zero_frequency_raises(self):
+        # zero frequency is the closed form's alone
         cfg = make_config(5.0)
-        m = propagation_matrix(12.0, 12.0, 0.0, cfg)
-        want = (-2.5j) * np.array([[1.0, -1.0], [1.0, -1.0]])
-        assert np.allclose(m, want, atol=1e-14)
-
-    def test_cw_matrix_vanishes_far_from_gate(self):
-        cfg = make_config(5.0)
-        m = propagation_matrix(22.0, 12.0, 0.0, cfg)
-        assert np.max(np.abs(m)) < 1e-4
+        for omega in (0.0, -0.0):
+            for z in (12.0, np.array([0.0, 12.0, 24.0])):
+                with pytest.raises(SingularFrequencyError, match="cw_analytic"):
+                    propagation_matrix(z, 12.0, omega, cfg)
 
     def test_determinant_is_phase_free(self):
         from polsim.susceptibility import susceptibilities
@@ -86,35 +86,36 @@ class TestPropagationMatrix:
         zs = np.concatenate([[10.0, 12.0, 13.7], rng.uniform(0.0, 24.0, 200)])
         for phi in (0.0, 1.3):
             cfg = make_config(2.0, phi=phi)
-            for omega in (0.25, 0.0):
-                stacked = propagation_matrix(zs, 12.0, omega, cfg)
-                assert stacked.shape == (zs.size, 2, 2)
-                for i, z in enumerate(zs):
-                    scalar = propagation_matrix(float(z), 12.0, omega, cfg)
-                    assert np.array_equal(stacked[i], scalar)
+            stacked = propagation_matrix(zs, 12.0, 0.25, cfg)
+            assert stacked.shape == (zs.size, 2, 2)
+            for i, z in enumerate(zs):
+                scalar = propagation_matrix(float(z), 12.0, 0.25, cfg)
+                assert np.array_equal(stacked[i], scalar)
 
 
 class TestSolveBvpCw:
+    def test_zero_frequency_raises(self):
+        # the numerical solve has no cw branch: it points at the closed form
+        cfg = make_config(5.0)
+        for omega in (0.0, -0.0):
+            with pytest.raises(SingularFrequencyError, match="cw_analytic"):
+                solve_bvp(omega, 12.0, cfg)
+
+    def test_closed_form_takes_no_grid(self):
+        # the gate position and the config fix the closed form and its nodes
+        assert list(inspect.signature(cw_analytic).parameters) == ["x", "config"]
+
     def test_numeric_matches_closed_form_pointwise(self):
         for d_b in (0.5, 1.0, 2.0, 5.0, 10.0):
             cfg = make_config(d_b)
             for x in (8.0, 12.0, 16.0):
-                res = solve_bvp(0.0, x, cfg)
-                assert res.segments == 1
-                stride = max(1, res.field.z.size // 20)
-                sample = res.field.z[::stride]
-                ana = cw_analytic(x, cfg, z=sample)
-                assert res.transmission == pytest.approx(
-                    ana.transmission, rel=1e-6
-                )
-                assert res.reflection == pytest.approx(ana.reflection, rel=1e-6)
-                idx = np.searchsorted(res.field.z, sample)
-                assert np.max(np.abs(res.field.e_right[idx] - ana.field.e_right)) < 1e-6
-                assert np.max(np.abs(res.field.e_left[idx] - ana.field.e_left)) < 1e-6
+                ana = cw_analytic(x, cfg)
+                assert ana.segments == 0
+                assert_matches_cw_oracle(ana, x, cfg, 1e-9)
                 # boundary conditions and passivity
-                assert res.field.e_right[0] == 1.0
-                assert abs(res.field.e_left[-1]) < 1e-8
-                assert -1e-10 <= res.absorption <= 1.0
+                assert ana.field.e_right[0] == 1.0
+                assert ana.field.e_left[-1] == 0.0
+                assert -1e-10 <= ana.absorption <= 1.0
 
     def test_finite_frequency_limit_reaches_cw(self):
         cfg = make_config(5.0)
@@ -253,6 +254,20 @@ def halved(nodes):
     return np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
 
 
+def coefficient_matrix(z, x, omega, config):
+    """``propagation_matrix``, and at ``omega == 0`` the cw matrix it no longer serves.
+
+    On resonance the three susceptibilities collapse onto the cw kernel
+    k = chi0_cw(z - x): chi_r = k and chi_l = chi_c = -k, so the matrix is
+    ``[[k, -k e^{i phi}], [k e^{-i phi}, -k]]``.
+    """
+    if omega != 0.0:
+        return propagation_matrix(z, x, omega, config)
+    k = chi0_cw(z - x, derive_scales(config))[..., None, None]
+    ephi = np.exp(1j * config.phi)
+    return k * np.array([[1.0, -ephi], [np.conj(ephi), -1.0]])
+
+
 def magnus_steps(nodes, omega, x, config):
     """(n, 2, 2) fourth-order Magnus steps between ``nodes``, by ``scipy.linalg.expm``.
 
@@ -261,7 +276,7 @@ def magnus_steps(nodes, omega, x, config):
     """
     z = nodes * derive_scales(config).z_b
     a1, a2, a3 = (
-        -1j * propagation_matrix(pts, x, omega, config)
+        -1j * coefficient_matrix(pts, x, omega, config)
         for pts in (z[:-1], 0.5 * (z[:-1] + z[1:]), z[1:])
     )
     h = np.diff(nodes)[:, None, None]
@@ -282,7 +297,7 @@ def rk4_reference(omega, x, config, per_zb):
     nodes = np.linspace(0.0, config.L / z_b, round(config.L / z_b * per_zb) + 1)
     z = nodes * z_b
     a1, a2, a3 = (
-        -1j * propagation_matrix(pts, x, omega, config)
+        -1j * coefficient_matrix(pts, x, omega, config)
         for pts in (z[:-1], 0.5 * (z[:-1] + z[1:]), z[1:])
     )
     eye = np.eye(2, dtype=complex)
@@ -357,6 +372,34 @@ def reference_solve(omega, x, config, shoot=False):
     return sol[size - 2], sol[1], z, psi
 
 
+def cw_oracle(x, config):
+    """Nodes (physical z), r, t and the (n, 2) field of the numerical cw solve.
+
+    The Magnus steps of the cw matrix on the base grid halved once, multiplied
+    with ``np.matmul``, and the field accumulated one step at a time.
+    """
+    z_b = derive_scales(config).z_b
+    nodes = halved(_build_nodes(config.L / z_b))
+    u = magnus_steps(nodes, 0.0, x, config)
+    phi = tree(u)
+    r = -phi[1, 0] / phi[1, 1]
+    psi = [np.array([1.0, r])]
+    for step in u:
+        psi.append(step @ psi[-1])
+    psi = np.array(psi)
+    return nodes * z_b, r, psi[-1, 0], psi
+
+
+def assert_matches_cw_oracle(res, x, config, rel):
+    """R, T and the field of ``cw_analytic`` against ``cw_oracle``, to ``rel`` relative."""
+    z, r, t, psi = cw_oracle(x, config)
+    assert np.array_equal(res.field.z, z)
+    assert abs(res.reflection - r) <= rel * abs(r)
+    assert abs(res.transmission - t) <= rel * abs(t)
+    got = np.stack([res.field.e_right, res.field.e_left], axis=1)
+    assert np.max(np.abs(got - psi)) <= rel * np.max(np.abs(psi))
+
+
 def criterion_10_config():
     twopi = 2.0 * np.pi
     gamma, c6, omega_s = twopi * 3.05e6, 3.573e-22, twopi * 20e6
@@ -393,9 +436,6 @@ class TestKernelAgainstStackedReference:
     def test_forced_domain_splitting(self):
         self.assert_same(0.3, 12.0, make_config(5.0), shoot=True)
 
-    def test_cw_kernel(self):
-        self.assert_same(0.0, 8.0, make_config(2.0))
-
 
 class TestAcceptedGridAgainstFinestGrid:
     """Accepted solves against a plain RK4 product on a fine uniform grid.
@@ -412,7 +452,6 @@ class TestAcceptedGridAgainstFinestGrid:
                 (omega, criterion_10_config().x_gate, criterion_10_config())
                 for omega in (-2.5e7, -2.5e6, -2.5e5, 2.5e5, 2.5e6, 2.5e7)
             ),
-            (0.0, 12.0, make_config(5.0)),
             (0.45, 12.0, make_config(5.0)),
         ],
     )
@@ -428,6 +467,21 @@ class TestAcceptedGridAgainstFinestGrid:
 
     def test_closed_form_has_no_refinements(self):
         assert cw_analytic(12.0, make_config(5.0)).refinements == 0
+
+    def test_closed_form_writes_the_level_one_grid(self):
+        # the closed-form field sits on the nodes of a solve accepted after
+        # one halving, bit for bit, here with z_b = 2
+        cfg = make_config(5.0, L=48.0, C6=64.0, x_gate=24.7)
+        res = solve_bvp(0.45, cfg.x_gate, cfg)
+        assert res.refinements == 1
+        assert np.array_equal(cw_analytic(cfg.x_gate, cfg).field.z, res.field.z)
+
+    def test_closed_form_matches_finest_grid(self):
+        cfg = make_config(5.0)
+        res = cw_analytic(12.0, cfg)
+        r, t = rk4_reference(0.0, 12.0, cfg, 6400)
+        assert abs(res.reflection - r) <= 1e-9 * abs(r)
+        assert abs(res.transmission - t) <= 1e-9 * abs(t)
 
 
 def component_stack(mats):
@@ -612,6 +666,19 @@ class TestFieldOnFirstRead:
         res = solve_bvp(omegas[0], cfg.x_gate, cfg)
         assert res.field is res.field
 
+    def test_closed_form_builds_no_field_until_read(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the field was built")
+
+        monkeypatch.setattr(propagation, "_cw_field", never)
+        cfg = criterion_10_config()
+        res = cw_analytic(cfg.x_gate, cfg)
+        assert reflection_spectrum(np.array([0.0]), cfg)[0] == res.reflection
+        monkeypatch.undo()
+        res = cw_analytic(cfg.x_gate, cfg)
+        assert isinstance(res.field, propagation.TwoModeField)
+        assert res.field is res.field
+
 
 class TestSolveBvpProperties:
     @given(
@@ -676,6 +743,35 @@ class TestSolveBvpProperties:
         bound = 5.0 * abs(omega) * (2.0 + d_b)
         assert abs(res.reflection - closed.reflection) <= bound
         assert abs(res.transmission - closed.transmission) <= bound
+
+
+class TestCwClosedFormProperties:
+    @given(
+        d_b=st.floats(min_value=0.2, max_value=20.0),
+        length=st.floats(min_value=1.0, max_value=24.0),
+        x_frac=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_oracle_passive_and_phase_covariant(self, d_b, length, x_frac, phi):
+        x = x_frac * length
+        base = cw_analytic(x, make_config(d_b, L=length))
+        turned_cfg = make_config(d_b, L=length, phi=phi)
+        turned = cw_analytic(x, turned_cfg)
+        assert_matches_cw_oracle(turned, x, turned_cfg, 1e-8)
+        for res in (base, turned):
+            assert res.absorption >= -1e-12
+            assert res.field.e_right[0] == 1.0
+            assert res.field.e_left[-1] == 0.0
+        # the control phase turns R and the backward field, and nothing else
+        assert abs(turned.reflection - np.exp(-1j * phi) * base.reflection) <= (
+            1e-14 * abs(base.reflection)
+        )
+        assert turned.transmission == base.transmission
+        assert np.array_equal(turned.field.e_right, base.field.e_right)
+        assert np.allclose(
+            np.abs(turned.field.e_left), np.abs(base.field.e_left), rtol=1e-14, atol=0.0
+        )
 
 
 class TestBulkCoefficients:

@@ -54,7 +54,7 @@ class TestXi:
             assert val.imag == cfg.gamma
 
     def test_zero_frequency_raises(self):
-        with pytest.raises(SingularFrequencyError):
+        with pytest.raises(SingularFrequencyError, match="cw_analytic"):
             xi(0.0, make_config())
 
 
@@ -173,7 +173,7 @@ class TestSusceptibilities:
         assert abs(t.chi_c) > 1e-3
 
     def test_zero_frequency_refused(self):
-        with pytest.raises(SingularFrequencyError):
+        with pytest.raises(SingularFrequencyError, match="cw_analytic"):
             susceptibilities(1.0, 0.0, CFG)
 
     def test_pole_error_names_the_offending_point(self):
@@ -234,6 +234,8 @@ class TestSixthPower:
         want = CFG.C6 / dz**6
         got = _vdw_or_inf(dz, CFG)
         assert np.all(np.abs(got - want) <= 4.0 * EPS * want)
+        # even in dz, bit for bit
+        assert np.array_equal(_vdw_or_inf(-dz, CFG), got)
 
     def test_vdw_extremes_raise_no_warning(self):
         dz = np.array([0.0, 1e-60, -1e-60, 1e60, -1e60])
