@@ -299,13 +299,11 @@ def _run_t0(cfg, scales, params):
         raise SchemaError(f"task_params.fit_width must be true or false, got {fit_width!r}")
     result = t0_spectrum(_grid(params, "omega", "n_omega"), cfg)
     t, r = result.transmission, result.reflection
-    columns = [result.omega, t.real, t.imag, *_magnitude(t), r.real, r.imag, *_magnitude(r)]
+    columns = [result.omega, t.real, t.imag, r.real, r.imag]
     header = [
         "omega (rad/s)",
-        "re_T0 (amplitude)", "im_T0 (amplitude)", "abs_T0 (amplitude)",
-        "abs_T0_sq (power)",
-        "re_R0 (amplitude)", "im_R0 (amplitude)", "abs_R0 (amplitude)",
-        "abs_R0_sq (power)",
+        "re_T0 (amplitude)", "im_T0 (amplitude)",
+        "re_R0 (amplitude)", "im_R0 (amplitude)",
     ]
     extras = {}
     if fit_width:
@@ -325,17 +323,11 @@ def _run_propagate(cfg, scales, params):
     else:
         result = solve_bvp(omega, cfg.x_gate, cfg)
     er, el = result.field.e_right, result.field.e_left
-    columns = [
-        result.field.z,
-        er.real, er.imag, *_magnitude(er),
-        el.real, el.imag, *_magnitude(el),
-    ]
+    columns = [result.field.z, er.real, er.imag, el.real, el.imag]
     header = [
         "z (m)",
-        "re_E_fwd (amplitude)", "im_E_fwd (amplitude)", "abs_E_fwd (amplitude)",
-        "abs_E_fwd_sq (power)",
-        "re_E_bwd (amplitude)", "im_E_bwd (amplitude)", "abs_E_bwd (amplitude)",
-        "abs_E_bwd_sq (power)",
+        "re_E_fwd (amplitude)", "im_E_fwd (amplitude)",
+        "re_E_bwd (amplitude)", "im_E_bwd (amplitude)",
     ]
     extras = {
         "omega (rad/s)": omega,
@@ -557,6 +549,7 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
     numbers = {key: _number(physical, key, "physical") for key in _PHYSICAL_KEYS}
     try:
         cfg = PhysicalConfig(**numbers)
+        scales = derive_scales(cfg)
     except ValueError as exc:
         raise SchemaError(f"physical: {exc}") from exc
 
@@ -568,7 +561,6 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
     outdir = Path(outdir)
 
     soft_warnings = []
-    scales = derive_scales(cfg)
     if scales.z_b > cfg.L:
         soft_warnings.append(
             f"blockade radius {scales.z_b:.6g} exceeds medium length {cfg.L:.6g}; "

@@ -128,16 +128,25 @@ def derive_scales(config: PhysicalConfig) -> DerivedScales:
     A blockade radius longer than the medium (``z_b > L``) is returned as
     is: every solver computes such a medium, and the command line records
     the condition as a warning in the run manifest.
+
+    Raises ValueError when the config's values, each finite and positive,
+    are so extreme that a scale overflows, underflows to zero or divides by
+    zero in floating point: every scale must come out positive and finite.
     """
-    z_b = (config.C6 * config.gamma / config.OmegaS**2) ** (1.0 / 6.0)
-    l_abs = config.c * config.gamma / config.G**2
-    d_b = z_b / l_abs
-    d = config.L / l_abs
-    gamma_eit = config.Omega**2 / (config.gamma * math.sqrt(d))
-    r2 = (config.Omega / config.OmegaS) ** 2
-    bracket = (1.0 + 2.0 * r2 + 2.0 * r2**2) + 0.5 * d * r2**2
-    delta_omega0 = gamma_eit / math.sqrt(bracket)
-    return DerivedScales(
+    try:
+        z_b = (config.C6 * config.gamma / config.OmegaS**2) ** (1.0 / 6.0)
+        l_abs = config.c * config.gamma / config.G**2
+        d_b = z_b / l_abs
+        d = config.L / l_abs
+        gamma_eit = config.Omega**2 / (config.gamma * math.sqrt(d))
+        r2 = (config.Omega / config.OmegaS) ** 2
+        bracket = (1.0 + 2.0 * r2 + 2.0 * r2**2) + 0.5 * d * r2**2
+        delta_omega0 = gamma_eit / math.sqrt(bracket)
+    except ArithmeticError as exc:  # OverflowError of **, ZeroDivisionError
+        raise ValueError(
+            f"derived scales cannot be computed in floating point ({type(exc).__name__})"
+        ) from exc
+    scales = DerivedScales(
         z_b=z_b,
         l_abs=l_abs,
         d_b=d_b,
@@ -145,6 +154,10 @@ def derive_scales(config: PhysicalConfig) -> DerivedScales:
         gamma_eit=gamma_eit,
         delta_omega0=delta_omega0,
     )
+    bad = [f"{k}={v!r}" for k, v in vars(scales).items() if not 0.0 < v < math.inf]
+    if bad:
+        raise ValueError(f"derived scales must be positive and finite, got {', '.join(bad)}")
+    return scales
 
 
 @dataclass(frozen=True)

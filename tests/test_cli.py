@@ -18,7 +18,13 @@ import polsim.fidelity
 from polsim.cli import TASKS, main, run
 from polsim.core_model import PhysicalConfig
 from polsim.errors import QuadratureError, SchemaError
-from polsim.propagation import cw_analytic, cw_bulk_coefficients
+from polsim.propagation import (
+    _magnitude,
+    cw_analytic,
+    cw_bulk_coefficients,
+    solve_bvp,
+    t0_spectrum,
+)
 
 PHYSICAL = {
     "G": 2.2360679774997896, "Omega": 1.0, "OmegaS": 1.0, "gamma": 1.0,
@@ -49,6 +55,12 @@ def read_manifest(outdir: Path) -> dict:
 def csv_rows(path: Path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def column(rows, name):
+    """The float values of the column whose header cell is ``name (unit)``."""
+    [j] = [j for j, cell in enumerate(rows[0]) if cell.partition(" (")[0] == name]
+    return np.array([float(row[j]) for row in rows[1:]])
 
 
 def per_cell_csv(header, rows):
@@ -180,8 +192,7 @@ class TestT0Task:
         manifest = read_manifest(tmp_path / "out")
         assert manifest["width_fit"]["rel_error"] < 0.05
         rows = csv_rows(tmp_path / "out" / manifest["artifacts"][0])
-        mags = [float(r[3]) for r in rows[1:]]
-        assert all(m > 0.9 for m in mags)
+        assert all(np.hypot(column(rows, "re_T0"), column(rows, "im_T0")) > 0.9)
 
 
 class TestPropagateTask:
@@ -213,8 +224,8 @@ class TestPropagateTask:
                 assert manifest[key] == {"re": value.real, "im": value.imag, "abs": abs(value)}
             assert manifest["absorption"] == closed.absorption
             rows = csv_rows(out / manifest["artifacts"][0])
-            assert float(rows[1][1]) == 1.0  # unit forward amplitude at entry
-            assert float(rows[-1][5]) == 0.0  # no backward input at exit
+            assert column(rows, "re_E_fwd")[0] == 1.0  # unit forward amplitude at entry
+            assert column(rows, "re_E_bwd")[-1] == 0.0  # no backward input at exit
 
     @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 0, 4801), (0.45, 1, 4801)])
     def test_one_row_per_node_of_the_accepted_grid(self, tmp_path, omega, refinements, rows):
@@ -249,6 +260,68 @@ class TestPropagateTask:
         assert rows[0][0] == "z (m)"
         assert float(rows[1][0]) == 0.0
         assert float(rows[-1][0]) == pytest.approx(48.0, rel=1e-12)
+
+
+class TestComplexColumns:
+    """``t0`` and ``propagate`` write each amplitude as its re/im pair alone.
+
+    A magnitude is ``hypot(re, im)`` and a power its square, recovered
+    exactly from the two columns, so the CSVs do not repeat them.
+    """
+
+    @staticmethod
+    def written(tmp_path, physical, task, params):
+        cfg = write_config(
+            tmp_path, physical=physical, task=task, task_params=params,
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main([task, "--config", str(cfg)]) == 0
+        manifest = read_manifest(tmp_path / "out")
+        return csv_rows(tmp_path / "out" / manifest["artifacts"][0])
+
+    @staticmethod
+    def assert_columns(rows, expected):
+        assert rows[0] == list(expected)
+        assert all(len(row) == len(expected) for row in rows)
+        for j, values in enumerate(expected.values()):
+            read = np.array([float(row[j]) for row in rows[1:]])
+            # bit for bit, the sign of a zero included
+            assert read.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+    @staticmethod
+    def assert_magnitudes_recoverable(rows, name, values):
+        recovered = np.hypot(column(rows, f"re_{name}"), column(rows, f"im_{name}"))
+        assert recovered.tobytes() == _magnitude(values)[0].tobytes()
+
+    def test_t0_columns(self, tmp_path):
+        params = {"omega_min": -1e-4, "omega_max": 1e-4, "n_omega": 21}
+        rows = self.written(tmp_path, WIDTH, "t0", params)
+        result = t0_spectrum(np.linspace(-1e-4, 1e-4, 21), PhysicalConfig(**WIDTH))
+        t, r = result.transmission, result.reflection
+        self.assert_columns(rows, {
+            "omega (rad/s)": result.omega,
+            "re_T0 (amplitude)": t.real, "im_T0 (amplitude)": t.imag,
+            "re_R0 (amplitude)": r.real, "im_R0 (amplitude)": r.imag,
+        })
+        self.assert_magnitudes_recoverable(rows, "T0", t)
+        self.assert_magnitudes_recoverable(rows, "R0", r)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.45])
+    def test_propagate_columns(self, tmp_path, omega):
+        rows = self.written(tmp_path, PHYSICAL, "propagate", {"omega": omega})
+        cfg = PhysicalConfig(**PHYSICAL)
+        if omega == 0.0:
+            field = cw_analytic(cfg.x_gate, cfg).field
+        else:
+            field = solve_bvp(omega, cfg.x_gate, cfg).field
+        er, el = field.e_right, field.e_left
+        self.assert_columns(rows, {
+            "z (m)": field.z,
+            "re_E_fwd (amplitude)": er.real, "im_E_fwd (amplitude)": er.imag,
+            "re_E_bwd (amplitude)": el.real, "im_E_bwd (amplitude)": el.imag,
+        })
+        self.assert_magnitudes_recoverable(rows, "E_fwd", er)
+        self.assert_magnitudes_recoverable(rows, "E_bwd", el)
 
 
 class TestSpinwaveTask:
@@ -339,6 +412,21 @@ class TestSchemaAndExitCodes:
     def test_conflicting_task_names(self, tmp_path):
         cfg = cw_config(tmp_path)
         assert main(["t0", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("OmegaS", 1e-200), ("G", 1e200), ("Omega", 1e200)])
+    def test_scales_out_of_float_range_exit_2(self, tmp_path, capsys, key, value):
+        # each value is finite, but z_b divides by OmegaS**2 == 0.0, or
+        # G**2 and Omega**2 overflow
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=dict(PHYSICAL, **{key: value}), task="cw",
+            task_params={"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4},
+        )
+        assert main(["cw", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "derived scales" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_invalid_physical_value_is_schema_error(self, tmp_path):
         cfg = write_config(

@@ -96,6 +96,18 @@ class TestDeriveScales:
         cfg = make_config(L=0.5, x_gate=0.25)
         assert derive_scales(cfg).z_b > cfg.L
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"OmegaS": 1e-200}, r"cannot be computed .*\(ZeroDivisionError\)"),
+        ({"G": 1e200}, r"cannot be computed .*\(OverflowError\)"),
+        ({"Omega": 1e200}, r"cannot be computed .*\(OverflowError\)"),
+        # C6 * gamma underflows to 0.0 or overflows to inf without raising
+        ({"C6": 5e-324, "gamma": 1e-10}, r"positive and finite, got z_b=0\.0, d_b=0\.0"),
+        ({"C6": 1e300, "gamma": 1e10}, r"positive and finite, got z_b=inf, d_b=inf"),
+    ])
+    def test_scales_out_of_float_range_raise(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            derive_scales(make_config(**overrides))
+
     @given(
         s=st.floats(min_value=0.01, max_value=100.0),
         ell=st.floats(min_value=0.01, max_value=100.0),
