@@ -74,7 +74,6 @@ from .spinwave import (
 from .susceptibility import (
     NU_INFINITY,
     SusceptibilityTriple,
-    chi0_cw,
     free_susceptibilities,
     nu,
     susceptibilities,
@@ -90,7 +89,7 @@ __all__ = [
     "gaussian_pulse_spectrum", "trapezoid_weights",
     # susceptibility
     "SusceptibilityTriple", "susceptibilities", "free_susceptibilities",
-    "xi", "chi0_cw", "nu", "NU_INFINITY",
+    "xi", "nu", "NU_INFINITY",
     # polariton spectrum
     "REGIMES", "PolaritonBranch", "DispersionFit",
     "build_bloch_matrix", "dark_polariton_vectors", "default_k_grid",

@@ -18,9 +18,13 @@ exponential is e^m [cosh s + sinh(s)/s (Omega - m)], and cosh s and
 sinh(s)/s are entire functions of q = s**2: where |q| <= 1/4 (every step of
 a typical solve) they are short power series in q, and only wider steps
 take cosh and sinh of s = sqrt(q).  The base
-grid is uniform; up to four halvings follow, each reusing every
-coefficient of the coarser grid, and the finer grid of the first pair
-that agrees is accepted.  Every scattering quantity is then a ratio of
+grid is uniform; up to four halvings follow, and the finer grid of the
+first pair that agrees is accepted.  The base grid and its first halving
+share one coefficient evaluation and one tree product: the first
+halving's pair products are stacked with the base grid's steps and
+reduced together.  Each further halving reuses every coefficient of the
+coarser grid and evaluates only its new midpoints.  Every scattering
+quantity is then a ratio of
 products, so none comes from a cancelling sum however deep the medium:
 with Phi the accepted fundamental matrix, R = -Phi10 / Phi11 and
 T = det Phi / Phi11, where det Phi is the exponential of the summed step
@@ -253,15 +257,19 @@ def _invariants(a00, a01, a10, a11):
 
 
 def _tree_product(steps):
-    """Product steps[-1] @ ... @ steps[0] by pairwise tree reduction."""
+    """Product steps[..., -1] @ ... @ steps[..., 0] by pairwise tree reduction.
+
+    The last axis is reduced; axes between the component axis and the last
+    are batch axes, each row reduced with the pairing of an unbatched call.
+    """
     p = steps
-    while p.shape[1] > 1:
-        n = p.shape[1] // 2
-        q = _mul(p[:, 1 : 2 * n : 2], p[:, 0 : 2 * n : 2])
-        if p.shape[1] % 2:
-            q = np.concatenate([q, p[:, -1:]], axis=1)
+    while p.shape[-1] > 1:
+        n = p.shape[-1] // 2
+        q = _mul(p[..., 1 : 2 * n : 2], p[..., 0 : 2 * n : 2])
+        if p.shape[-1] % 2:
+            q = np.concatenate([q, p[..., -1:]], axis=-1)
         p = q
-    return p[:, 0]
+    return p[..., 0]
 
 
 def _suffix_products(steps):
@@ -290,47 +298,50 @@ def solve_bvp(omega, x, config):
         m = propagation_matrix(points * scales.z_b, x, omega, config)
         return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
 
-    def product(level, nodes, a_nodes, a_mid):
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
-            phi = _tree_product(steps)
+    def check(level, steps, phi):
         if not np.isfinite(phi).all():
             raise IllConditionedError(
                 f"fundamental matrix overflows at refinement level {level} "
                 f"({steps.shape[1]} steps)"
             )
-        return steps, traces, phi
 
     # each level's nodes are the previous level's nodes and step midpoints,
-    # so only the new midpoints are evaluated
-    nodes = _build_nodes(config.L / scales.z_b)
-    a_nodes = coefficients(nodes)
+    # so levels 0 and 1 share one evaluation on level 1's nodes and
+    # midpoints, and each further level evaluates only its new midpoints
+    nodes_0 = _build_nodes(config.L / scales.z_b)
+    nodes = _interleave(nodes_0, 0.5 * (nodes_0[:-1] + nodes_0[1:]))
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    a_mid = coefficients(mid)
-    steps, traces, phi = product(0, nodes, a_nodes, a_mid)
-    err = math.inf
-    for level in range(1, _MAX_REFINEMENTS + 1):
+    a = coefficients(_interleave(nodes, mid))
+    a_nodes, a_mid = a[:, 0::2], a[:, 1::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps_0, _ = _magnus_steps(nodes_0, a[:, 0::4], a[:, 2::4])
+        steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
+        # the pair products are the first round of level 1's tree, so one
+        # reduction of both stacks gives both fundamental matrices
+        pairs = _mul(steps[:, 1::2], steps[:, 0::2])
+        phis = _tree_product(np.stack([steps_0, pairs], axis=1))
+    check(0, steps_0, phis[:, 0])
+    check(1, steps, phis[:, 1])
+    level, phi = 1, phis[:, 1]
+    err = _relative_change(phi, phis[:, 0])
+    while err > _RICHARDSON_TOL:
+        if level == _MAX_REFINEMENTS:
+            raise QuadratureError(
+                f"step halving stalled at relative change {err:.3g} "
+                f"(tolerance {_RICHARDSON_TOL:.3g})",
+                achieved=err,
+            )
+        level += 1
         nodes = _interleave(nodes, mid)
         a_nodes = _interleave(a_nodes, a_mid)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         a_mid = coefficients(mid)
-        steps, traces, phi_f = product(level, nodes, a_nodes, a_mid)
-        # relative Frobenius change, with both norms divided by max|phi_f|
-        # so that no square overflows
-        scale = max(1.0, float(np.max(np.abs(phi_f))))
-        err = float(
-            np.linalg.norm(phi_f / scale - phi / scale)
-            / max(1.0 / scale, np.linalg.norm(phi_f / scale))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
+            phi_f = _tree_product(steps)
+        check(level, steps, phi_f)
+        err = _relative_change(phi_f, phi)
         phi = phi_f
-        if err <= _RICHARDSON_TOL:
-            break
-    else:
-        raise QuadratureError(
-            f"step halving stalled at relative change {err:.3g} "
-            f"(tolerance {_RICHARDSON_TOL:.3g})",
-            achieved=err,
-        )
 
     if phi[3] == 0.0:
         raise IllConditionedError("boundary solve hit a vanishing pivot")
@@ -349,6 +360,18 @@ def solve_bvp(omega, x, config):
         refinements=level,
         segments=1,
         _build_field=partial(_field, nodes * scales.z_b, steps, traces, r, t, phi[3]),
+    )
+
+
+def _relative_change(phi_f, phi):
+    """Relative Frobenius change from ``phi`` to the finer ``phi_f``.
+
+    Both norms are divided by max|phi_f|, so that no square overflows.
+    """
+    scale = max(1.0, float(np.max(np.abs(phi_f))))
+    return float(
+        np.linalg.norm(phi_f / scale - phi / scale)
+        / max(1.0 / scale, np.linalg.norm(phi_f / scale))
     )
 
 

@@ -16,9 +16,9 @@ Two conventions hold throughout the package:
   dimensionless accumulated phase/absorption;
 * the finite-frequency formulas are singular at ``omega = 0`` and raise
   ``SingularFrequencyError`` there; zero-frequency scattering is the closed
-  form ``propagation.cw_analytic``, built from the continuous-wave kernel
-  ``chi0_cw`` (a single complex Lorentzian of the scaled separation) and
-  its integral ``nu``.
+  form ``propagation.cw_analytic``, built from ``nu``, the integral of the
+  continuous-wave kernel (a single complex Lorentzian of the scaled
+  separation's sixth power).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "xi",
     "susceptibilities",
     "free_susceptibilities",
-    "chi0_cw",
     "nu",
     "NU_INFINITY",
 ]
@@ -169,21 +168,6 @@ def free_susceptibilities(omega, config: PhysicalConfig) -> SusceptibilityTriple
     return _triple(*chi, scalar=np.ndim(omega) == 0)
 
 
-def chi0_cw(dz, scales: DerivedScales):
-    """CW kernel ``d_b / ((dz/z_b)**6 + 2j)``; accepts scalars or arrays.
-
-    This is the rescaled forward susceptibility of a resonant probe, and
-    simultaneously ``-chi_l`` and ``-chi_c``: on resonance the three collapse
-    onto a single function of the scaled separation.  At the gate point it
-    equals ``-1j * d_b / 2``.
-    """
-    u = np.asarray(dz, dtype=float) / scales.z_b
-    out = scales.d_b / (_sixth_power(u) + 2j)
-    if np.ndim(dz) == 0:
-        return complex(out)
-    return out
-
-
 # The six roots r of r**6 = -2j and the partial-fraction weights of the CW
 # kernel 1/(u**6 + 2j), 1/(6 r**5) = r/(6 r**6) = 1j r / 12.
 _KERNEL_ROOTS = 2.0 ** (1.0 / 6.0) * np.exp(1j * np.pi * (4 * np.arange(6) - 1) / 12.0)
@@ -193,11 +177,14 @@ _KERNEL_WEIGHTS = 1j * _KERNEL_ROOTS / 12.0
 def nu(z, x, scales: DerivedScales):
     """Accumulated CW response ``1j * integral_0^z chi0(z' - x) dz'``.
 
-    ``z`` and ``x`` are physical lengths, scalars or arrays that broadcast.
-    The integral is exact: in blockade-radius units the kernel is
-    ``d_b / (u**6 + 2j)`` over ``u`` from ``a = -x / z_b`` to
-    ``b = (z - x) / z_b``, and its partial fractions over the six roots r of
-    ``r**6 = -2j`` integrate to ``sum [log(b - r) - log(a - r)] / (6 r**5)``.
+    The CW kernel ``chi0`` is the rescaled forward susceptibility of a
+    resonant probe, and simultaneously ``-chi_l`` and ``-chi_c``: on
+    resonance the three collapse onto it.  ``z`` and ``x`` are physical
+    lengths, scalars or arrays that broadcast.  The integral is exact: in
+    blockade-radius units the kernel is ``d_b / (u**6 + 2j)``, integrated
+    over ``u`` from ``a = -x / z_b`` to ``b = (z - x) / z_b``, and its
+    partial fractions over the six roots r of ``r**6 = -2j`` integrate to
+    ``sum [log(b - r) - log(a - r)] / (6 r**5)``.
     No root is real, so each principal log is continuous along the real
     axis.
     """

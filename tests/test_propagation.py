@@ -3,7 +3,8 @@
 The solver runs at finite frequency only; zero frequency is the closed form
 ``cw_analytic``.  Both are checked against slow oracles built here: Magnus
 steps from ``scipy.linalg.expm`` and a plain RK4 product, on the solver's
-coefficient matrix or, at zero frequency, on the cw kernel ``chi0_cw``.
+coefficient matrix or, at zero frequency, on the cw kernel
+d_b / ((dz/z_b)**6 + 2j).
 """
 
 import inspect
@@ -40,7 +41,7 @@ from polsim.propagation import (
     transparency_width_study,
 )
 from polsim.fidelity import reflection_spectrum
-from polsim.susceptibility import chi0_cw, free_susceptibilities
+from polsim.susceptibility import free_susceptibilities
 
 
 def make_config(d_b, L=24.0, **overrides):
@@ -258,12 +259,14 @@ def coefficient_matrix(z, x, omega, config):
     """``propagation_matrix``, and at ``omega == 0`` the cw matrix it no longer serves.
 
     On resonance the three susceptibilities collapse onto the cw kernel
-    k = chi0_cw(z - x): chi_r = k and chi_l = chi_c = -k, so the matrix is
-    ``[[k, -k e^{i phi}], [k e^{-i phi}, -k]]``.
+    k = d_b / (((z - x)/z_b)**6 + 2j): chi_r = k and chi_l = chi_c = -k, so
+    the matrix is ``[[k, -k e^{i phi}], [k e^{-i phi}, -k]]``.
     """
     if omega != 0.0:
         return propagation_matrix(z, x, omega, config)
-    k = chi0_cw(z - x, derive_scales(config))[..., None, None]
+    scales = derive_scales(config)
+    u = (np.asarray(z, dtype=float) - x) / scales.z_b
+    k = (scales.d_b / (u**6 + 2j))[..., None, None]
     ephi = np.exp(1j * config.phi)
     return k * np.array([[1.0, -ephi], [np.conj(ephi), -1.0]])
 
@@ -465,6 +468,34 @@ class TestAcceptedGridAgainstFinestGrid:
         steps = np.diff(res.field.z / derive_scales(cfg).z_b)
         assert np.max(steps) <= (1.0 + 1e-9) / 200.0
 
+    @pytest.mark.parametrize(
+        "d_b, x, omega, refinements",
+        [(1.0, 1.0, 1.0, 2), (1.0, 0.0, 3.0, 3), (10.0, 1.0, 3.0, 4)],
+    )
+    def test_solves_accepted_after_further_halvings(
+        self, monkeypatch, d_b, x, omega, refinements
+    ):
+        # short media above the transparency window: the first pair of grids
+        # disagrees, so the halvings after it decide what is accepted
+        cfg = make_config(d_b, L=2.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return propagation_matrix(*args)
+
+        monkeypatch.setattr(propagation, "propagation_matrix", counted)
+        res = solve_bvp(omega, x, cfg)
+        monkeypatch.undo()
+        assert res.refinements == refinements
+        # one evaluation serves the base grid and its first halving, and
+        # each further halving evaluates only its new midpoints
+        base = _build_nodes(cfg.L / derive_scales(cfg).z_b).size - 1
+        assert calls == [4 * base + 1] + [base * 2**k for k in range(2, refinements + 1)]
+        r, t = rk4_reference(omega, x, cfg, 12800)
+        assert abs(res.reflection - r) <= 1e-9 * abs(r)
+        assert abs(res.transmission - t) <= 1e-9 * abs(t)
+
     def test_closed_form_has_no_refinements(self):
         assert cw_analytic(12.0, make_config(5.0)).refinements == 0
 
@@ -638,6 +669,34 @@ class TestComponentProducts:
             want = u @ want
         got = propagation._tree_product(component_stack(mats))
         assert np.allclose(got.reshape(2, 2), want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    @staticmethod
+    def random_steps(rng, *shape):
+        """Near-identity steps as a component stack of shape ``(4,) + shape``."""
+        mats = np.eye(2) + random_matrices(rng, math.prod(shape), 0.05)
+        return component_stack(mats).reshape((4,) + shape)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 501])
+    def test_batched_tree_product_reduces_each_row_alone(self, n):
+        rng = np.random.default_rng(n)
+        for batch in (1, 2, 5):
+            stack = self.random_steps(rng, batch, n)
+            got = propagation._tree_product(stack)
+            assert got.shape == (4, batch)
+            for b in range(batch):
+                assert np.array_equal(got[:, b], propagation._tree_product(stack[:, b].copy()))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 501])
+    def test_stacked_first_pair_keeps_both_products(self, n):
+        # the solver reduces the base steps together with the first
+        # halving's pair products, which are the first round of its tree
+        rng = np.random.default_rng(n)
+        coarse = self.random_steps(rng, n)
+        fine = self.random_steps(rng, 2 * n)
+        pairs = propagation._mul(fine[:, 1::2], fine[:, 0::2])
+        phis = propagation._tree_product(np.stack([coarse, pairs], axis=1))
+        assert np.array_equal(phis[:, 0], propagation._tree_product(coarse))
+        assert np.array_equal(phis[:, 1], propagation._tree_product(fine))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
     def test_suffix_products_match_sequential_products(self, n):

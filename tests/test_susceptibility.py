@@ -19,8 +19,8 @@ from polsim.core_model import PhysicalConfig, derive_scales
 from polsim.errors import SingularFrequencyError, SusceptibilityPoleError
 from polsim.susceptibility import (
     NU_INFINITY,
+    _sixth_power,
     _vdw_or_inf,
-    chi0_cw,
     free_susceptibilities,
     nu,
     susceptibilities,
@@ -193,6 +193,20 @@ class TestSusceptibilities:
         assert np.all(np.isfinite(t.chi_r))
 
 
+def chi0_cw(dz, scales):
+    """CW kernel ``d_b / ((dz/z_b)**6 + 2j)``; accepts scalars or arrays.
+
+    The integrand of ``nu``, kept here as the trapezoid oracle's kernel.  It
+    is the rescaled forward susceptibility of a resonant probe and equals
+    ``-1j * d_b / 2`` at the gate point.
+    """
+    u = np.asarray(dz, dtype=float) / scales.z_b
+    out = scales.d_b / (_sixth_power(u) + 2j)
+    if np.ndim(dz) == 0:
+        return complex(out)
+    return out
+
+
 class TestChi0Cw:
     def test_gate_point_value(self):
         assert chi0_cw(0.0, SCALES) == pytest.approx(-0.5j * SCALES.d_b, abs=1e-15)
@@ -224,7 +238,8 @@ EPS = np.finfo(float).eps
 
 
 class TestSixthPower:
-    """``_vdw_or_inf`` and ``chi0_cw`` take dz**6 by multiplication."""
+    """``_sixth_power`` takes dz**6 by multiplication, in ``_vdw_or_inf`` and
+    in the test kernel ``chi0_cw``."""
 
     def test_vdw_matches_pow_within_4_ulp(self):
         # three roundings in the product and one in the quotient: at most
