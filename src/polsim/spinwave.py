@@ -99,31 +99,63 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
     return SpinWaveDensityMatrix(grid=grid, rho=np.outer(psi, psi.conj()))
 
 
+def _kernel_real(z, xr, yr):
+    """Real part of (u - v)/((u + 2i)(v - 2i)), u = (z - x)**6, v = (z - y)**6."""
+    s = z - xr
+    t = z - yr
+    s2 = s * s
+    t2 = t * t
+    u = s2 * s2 * s2
+    v = t2 * t2 * t2
+    return (u - v) * (u * v + 4.0) / ((u * u + 4.0) * (v * v + 4.0))
+
+
+def _kernel_imag(z, xr, yr):
+    """Imaginary part of (u - v)/((u + 2i)(v - 2i)): 2 (u - v)**2 / |den|**2."""
+    s = z - xr
+    t = z - yr
+    s2 = s * s
+    t2 = t * t
+    u = s2 * s2 * s2
+    v = t2 * t2 * t2
+    d = u - v
+    return 2.0 * d * d / ((u * u + 4.0) * (v * v + 4.0))
+
+
 def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
     # z, x, y in blockade-radius units; narrow features of unit width sit at
-    # z = x and z = y, so both are quadrature break points.  scipy is
-    # imported here, not at module top, so that importing polsim and every
-    # task without a spin-wave map loads numpy alone.
+    # z = x and z = y, so both are quadrature break points.  The real and
+    # imaginary parts are integrated by two real quad runs on closed-form
+    # float integrands: |(u + 2i)(v - 2i)|**2 = (u**2 + 4)(v**2 + 4), so
+    # neither part does complex arithmetic.  scipy is imported here, not at
+    # module top, so that importing polsim and every task without a
+    # spin-wave map loads numpy alone.
     from scipy.integrate import quad
 
-    def integrand(z):
-        u = (z - xr) ** 6
-        v = (z - yr) ** 6
-        return (u - v) / ((u + 2j) * (v - 2j))
-
-    pts = sorted({p for p in (xr, yr) if 0.0 < p < length_r})
+    # as Python floats: numpy scalars would make every integrand operation
+    # a numpy scalar operation, which nearly doubles evolve_cw's time
+    xr, yr = float(xr), float(yr)
+    # a break point within a rounding of the wall z = 0 is the wall: QUADPACK
+    # takes a sub-interval narrower than about 1e-304 for bad integrand
+    # behaviour, and its error estimate then fails the test below
+    wall = np.finfo(float).eps * length_r
+    pts = sorted({p for p in (xr, yr) if wall < p < length_r})
     epsabs = 1e-10
-    val, err = quad(
-        integrand,
-        0.0,
-        length_r,
-        points=pts or None,
-        limit=400,
-        epsabs=epsabs,
-        epsrel=1e-10,
-        complex_func=True,
+    (real, err_re), (imag, err_im) = (
+        quad(
+            part,
+            0.0,
+            length_r,
+            args=(xr, yr),
+            points=pts or None,
+            limit=400,
+            epsabs=epsabs,
+            epsrel=1e-10,
+        )
+        for part in (_kernel_real, _kernel_imag)
     )
-    err_total = abs(complex(err).real) + abs(complex(err).imag)
+    val = complex(real, imag)
+    err_total = abs(err_re) + abs(err_im)
     if err_total > max(10.0 * epsabs, 1e-8 * abs(val)):
         raise QuadratureError(
             f"coherence kernel quadrature did not converge at "
@@ -131,7 +163,7 @@ def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
             f"(error estimate {err_total:.3g})",
             achieved=err_total,
         )
-    return complex(val)
+    return val
 
 
 def coherence_factor(x: float, y: float, config: PhysicalConfig) -> complex:

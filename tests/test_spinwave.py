@@ -3,35 +3,60 @@
 Oracle strategy: the evolution factor has an exact partial-fraction
 decomposition into two boundary transmission integrals plus a cross term,
 so every direct kernel evaluation can be cross-checked through a second,
-independently assembled route.  The far-separation plateau is pinned to the
-bulk loss coefficient from the propagation module.
+independently assembled route.  The kernel integral, two real quad runs on
+closed-form parts, is also checked against one complex quad run on the
+complex integrand.  The far-separation plateau is pinned to the bulk loss
+coefficient from the propagation module.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polsim.spinwave
 from polsim.core_model import PhysicalConfig, derive_scales
-from polsim.errors import GridError, PositivityWarning
+from polsim.errors import GridError, PositivityWarning, QuadratureError
 from polsim.propagation import cw_bulk_coefficients
 from polsim.spinwave import (
     SpinWaveDensityMatrix,
+    _kernel_imag,
+    _kernel_integral,
+    _kernel_real,
     blockade_loss_baseline,
     coherence_factor,
     evolve_cw,
     initial_sine_mode,
     retrieval_eta,
 )
-from polsim.susceptibility import nu
+from polsim.susceptibility import _sixth_power, nu
+
+EPS = np.finfo(float).eps
 
 
-def make_config(d_b, L):
+def make_config(d_b, L, phi=0.0):
     """Unit blockade radius; G sets the depth per radius."""
     return PhysicalConfig(G=float(np.sqrt(d_b)), Omega=1.0, OmegaS=1.0,
-                          gamma=1.0, phi=0.0, c=1.0, C6=1.0, L=L, x_gate=L / 2.0)
+                          gamma=1.0, phi=phi, c=1.0, C6=1.0, L=L, x_gate=L / 2.0)
+
+
+def complex_kernel_integral(xr, yr, length_r):
+    """The kernel integral as one complex quad run on the complex integrand."""
+
+    def integrand(z):
+        u = (z - xr) ** 6
+        v = (z - yr) ** 6
+        return (u - v) / ((u + 2j) * (v - 2j))
+
+    pts = sorted({p for p in (xr, yr) if 0.0 < p < length_r})
+    val, _ = quad(integrand, 0.0, length_r, points=pts or None, limit=400,
+                  epsabs=1e-10, epsrel=1e-10, complex_func=True)
+    return val
 
 
 class TestInitialSineMode:
@@ -60,6 +85,50 @@ class TestInitialSineMode:
             initial_sine_mode(0.0, 64)
         with pytest.raises(GridError):
             SpinWaveDensityMatrix(grid=np.linspace(0, 1, 4), rho=np.eye(3))
+
+
+class TestKernelIntegral:
+    def test_real_integrands_split_the_complex_kernel(self):
+        # same sixth powers on both sides, so only the split into real and
+        # imaginary parts over |den|^2 = (u^2 + 4)(v^2 + 4) is compared
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-1e3, 1e3, size=400)
+        y = x + rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3.0, 3.0, 400)
+        z = rng.uniform(-1e3, 1e3, size=400)
+        z[:100] = x[:100]
+        z[100:200] = y[100:200]
+        z[200:300] = 0.5 * (x[200:300] + y[200:300])
+        for zi, xi, yi in zip(z, x, y):
+            u = _sixth_power(zi - xi)
+            v = _sixth_power(zi - yi)
+            ref = (u - v) / ((u + 2j) * (v - 2j))
+            assert abs(_kernel_real(zi, xi, yi) - ref.real) <= 4 * EPS * abs(ref)
+            assert abs(_kernel_imag(zi, xi, yi) - ref.imag) <= 4 * EPS * abs(ref)
+
+    def test_matches_one_complex_quad_run(self):
+        rng = np.random.default_rng(41)
+        for length in (2.0, 5.0, 20.0):
+            inner = rng.uniform(0.0, length, size=4)
+            pairs = [(0.0, length), (0.0, inner[0]), (inner[1], length),
+                     (length, inner[2]), (inner[2], inner[3]), (inner[3], 0.0),
+                     (inner[0], inner[0] + 1e-3)]
+            for xr, yr in pairs:
+                assert abs(_kernel_integral(xr, yr, length)
+                           - complex_kernel_integral(xr, yr, length)) <= 1e-12
+
+    def test_break_point_next_to_the_wall_is_the_wall(self):
+        # a sub-interval [0, x] of width about 1e-307 fails QUADPACK's error
+        # test, so x is no break point; the integrand barely moves over it
+        ref = _kernel_integral(0.0, 1.5, 3.0)
+        for xr in (6.675221575521604e-308, 1e-305, 1e-300, 1e-16):
+            assert abs(_kernel_integral(xr, 1.5, 3.0) - ref) <= 1e-15
+
+    def test_unconverged_quadrature_names_the_pair(self, monkeypatch):
+        # each of the two real runs reports an error estimate of 1.0
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **kw: (0.0, 1.0))
+        with pytest.raises(QuadratureError, match=r"\(x, y\) = \(7\.3, 11\.1\)") as info:
+            coherence_factor(7.3, 11.1, make_config(5.0, 20.0))
+        assert info.value.achieved == 2.0
 
 
 class TestCoherenceFactor:
@@ -197,6 +266,28 @@ class TestEvolveCw:
         expected = np.array([[coherence_factor(x, y, cfg) for y in grid] for x in grid])
         assert np.max(np.abs(out.rho - expected * rho0.rho)) <= 1e-10 * np.max(np.abs(rho0.rho))
         assert np.array_equal(out.rho, out.rho.conj().T)
+
+    @given(
+        d_b=st.floats(min_value=0.5, max_value=20.0),
+        length=st.floats(min_value=2.0, max_value=12.0),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        fracs=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=9, max_size=16, unique=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_media_keep_a_hermitian_contraction(self, d_b, length, phi, fracs, seed):
+        grid = np.sort(np.array(fracs)) * length
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(grid.size, 2)) + 1j * rng.normal(size=(grid.size, 2))
+        outer = psi @ psi.conj().T  # rank 2
+        rho0 = SpinWaveDensityMatrix(grid=grid, rho=0.5 * (outer + outer.conj().T))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PositivityWarning)
+            out = evolve_cw(rho0, make_config(d_b, length, phi))
+        assert np.array_equal(out.rho, out.rho.conj().T)
+        assert np.array_equal(np.diag(out.rho), np.diag(rho0.rho))
+        assert np.all(np.abs(out.rho) <= (1.0 + 1e-12) * np.abs(rho0.rho))
 
 
 class TestBlockadeLossBaseline:
