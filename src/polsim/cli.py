@@ -403,7 +403,7 @@ def _run_fidelity(cfg, scales, params):
         omega_grid = _grid(params, "omega", "n_omega")
     columns = [
         dbs,
-        *np.array([switch_fidelities(d_b, cfg.phi) for d_b in dbs.tolist()]).T,
+        *np.array([switch_fidelities(d_b) for d_b in dbs.tolist()]).T,
         [blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
          for d_b in dbs.tolist()],
         blockade_loss_baseline(dbs),

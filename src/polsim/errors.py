@@ -33,13 +33,10 @@ class SusceptibilityPoleError(PolsimError):
     exact grid point that hit the pole.
     """
 
-    def __init__(self, dz, omega, message=None):
+    def __init__(self, dz, omega):
         self.dz = dz
         self.omega = omega
-        super().__init__(
-            message
-            or f"susceptibility denominator vanished at dz={dz!r}, omega={omega!r}"
-        )
+        super().__init__(f"susceptibility denominator vanished at dz={dz!r}, omega={omega!r}")
 
 
 class QuadratureError(PolsimError):

@@ -56,18 +56,18 @@ class TimingEstimates(NamedTuple):
     reconversion_efficiency: float
 
 
-def switch_fidelities(d_b: float, phi: float = 0.0) -> SwitchFidelities:
+def switch_fidelities(d_b: float) -> SwitchFidelities:
     """Bulk-geometry switching fidelities at a given depth per radius.
 
     classical = 1 - |T1|**2 (beam blocked), quantum = gate = |R1|**2 (beam
-    coherently rerouted).  The control phase rotates arg R1 only, so all
-    three are phi independent.
+    coherently rerouted).  The control phase rotates arg R1 only, so none
+    of the three depends on it.
     """
     if d_b < 0.0:
         raise ValueError(f"d_b must be nonnegative, got {d_b!r}")
     if d_b == 0.0:
         return SwitchFidelities(0.0, 0.0, 0.0)
-    t, r, _ = cw_bulk_coefficients(d_b, phi)
+    t, r, _ = cw_bulk_coefficients(d_b)
     classical = 1.0 - abs(t) ** 2
     quantum = abs(r) ** 2
     return SwitchFidelities(classical, quantum, quantum)
@@ -213,7 +213,7 @@ def fidelity_report(
     feasible depths (d_b >= PI_PHASE_MIN_DB), None otherwise.
     """
     d_b = derive_scales(config).d_b
-    switches = switch_fidelities(d_b, config.phi)
+    switches = switch_fidelities(d_b)
     baseline = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
 
     eta = _stored_mode_eta(config, n_samples)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core_model import PhysicalConfig, derive_scales, trapezoid_weights
 from .errors import GridError, PositivityWarning, QuadratureError
+from .propagation import _cw_coefficients
 from .susceptibility import nu
 
 __all__ = [
@@ -132,9 +133,6 @@ def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
     # spin-wave map loads numpy alone.
     from scipy.integrate import quad
 
-    # as Python floats: numpy scalars would make every integrand operation
-    # a numpy scalar operation, which nearly doubles evolve_cw's time
-    xr, yr = float(xr), float(yr)
     # a break point within a rounding of the wall z = 0 is the wall: QUADPACK
     # takes a sub-interval narrower than about 1e-304 for bad integrand
     # behaviour, and its error estimate then fails the test below
@@ -166,68 +164,68 @@ def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
     return val
 
 
+def _factor_matrix(grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
+    """Coherence factors F = 1 + 1j d_b (t t^H) o K for every pair of ``grid``.
+
+    t = 1 / (1 + nu(L, x)) is ``cw_analytic``'s gate transmission and K the
+    kernel integral.  Only the strict upper triangle is computed; F is that
+    triangle plus its conjugate transpose, so the diagonal is exactly 1 and
+    F exactly Hermitian.  K(x, y) = K(L - x, L - y) and K(y, x) =
+    -conj(K(x, y)), so on a grid symmetric about L/2 only pairs (i, j) with
+    i + j <= N - 1 are integrated and the rest read their mirror image.
+    """
+    scales = derive_scales(config)
+    nu_l = nu(config.L, grid, scales)
+    t = _cw_coefficients(nu_l.real, nu_l.imag, 0.0)[0]
+    length_r = config.L / scales.z_b
+    # as Python floats: numpy scalars would make every integrand operation
+    # a numpy scalar operation, which nearly doubles the quadrature's time
+    points = (grid / scales.z_b).tolist()
+
+    n = grid.size
+    mirrored = bool(np.all(np.abs(grid + grid[::-1] - config.L) <= 1e-12 * config.L))
+    kernel = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mirrored and i + j > n - 1:
+                kernel[i, j] = -np.conj(kernel[n - 1 - j, n - 1 - i])
+            else:
+                kernel[i, j] = _kernel_integral(points[i], points[j], length_r)
+    upper = 1j * scales.d_b * np.outer(t, t.conj()) * kernel
+    return 1.0 + upper + upper.conj().T
+
+
 def coherence_factor(x: float, y: float, config: PhysicalConfig) -> complex:
     """Multiplier applied to rho0(x, y) by CW target scattering.
 
     Equals 1 exactly on the diagonal.  For |x - y| many blockade radii and
     both points deep inside the medium it approaches 1 - A, the bulk power
     loss, tying coherence decay directly to the scattering loss channel.
-    ``x`` and ``y`` are physical positions in [0, L].
+    ``x`` and ``y`` are physical positions in [0, L]; the value comes from
+    the same factor matrix that ``evolve_cw`` applies.
     """
     for name, value in (("x", x), ("y", y)):
         if not 0.0 <= value <= config.L:
             raise ValueError(f"{name} must lie in [0, L], got {value!r}")
     if x == y:
         return 1.0 + 0.0j
-    scales = derive_scales(config)
-    t_x = 1.0 / (1.0 + nu(config.L, x, scales))
-    t_y = 1.0 / (1.0 + nu(config.L, y, scales))
-    integral = _kernel_integral(x / scales.z_b, y / scales.z_b, config.L / scales.z_b)
-    return 1.0 + 1j * scales.d_b * t_x * np.conj(t_y) * integral
+    return complex(_factor_matrix(np.array([x, y], dtype=float), config)[0, 1])
 
 
 def evolve_cw(rho0: SpinWaveDensityMatrix, config: PhysicalConfig) -> SpinWaveDensityMatrix:
     """Apply the CW scattering map element-wise to an initial density matrix.
 
-    Evaluates the coherence factor for every grid pair (upper triangle, then
-    Hermitian mirror), leaving the diagonal untouched.  The kernel integral
-    is unchanged by the reflection z -> L - z, so on a grid symmetric about
-    L/2 (``initial_sine_mode``'s) only pairs (i, j) with i + j <= N - 1 are
-    integrated and the rest read their mirror image.  The grid must lie
-    within [0, L] of ``config``.  Raises QuadratureError naming the offending
-    pair if an element integral fails to converge, and emits a
-    PositivityWarning if discretization pushes the result out of the PSD
-    cone by more than PSD_SLACK times the trace.
+    Multiplies rho0 by the coherence factor of every grid pair, leaving the
+    diagonal untouched.  The grid must lie within [0, L] of ``config``.
+    Raises QuadratureError naming the offending pair if an element integral
+    fails to converge, and emits a PositivityWarning if discretization
+    pushes the result out of the PSD cone by more than PSD_SLACK times the
+    trace.
     """
     grid = rho0.grid
     if grid[0] < 0.0 or grid[-1] > config.L:
         raise GridError("spin-wave grid extends outside the medium [0, L]")
-    scales = derive_scales(config)
-
-    zb = scales.z_b
-    length_r = config.L / zb
-    d_b = scales.d_b
-    # boundary transmission prefactors
-    t = 1.0 / (1.0 + nu(config.L, grid, scales))
-
-    n = grid.size
-    # K(x, y) = K(L - x, L - y) and K(y, x) = -conj(K(x, y)), so past the
-    # anti-diagonal K[i, j] = -conj(K[n-1-j, n-1-i]), from an earlier row
-    mirrored = bool(np.all(np.abs(grid + grid[::-1] - config.L) <= 1e-12 * config.L))
-    kernel = np.zeros((n, n), dtype=complex)
-    factor = np.ones((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mirrored and i + j > n - 1:
-                integral = -np.conj(kernel[n - 1 - j, n - 1 - i])
-            else:
-                integral = _kernel_integral(grid[i] / zb, grid[j] / zb, length_r)
-            kernel[i, j] = integral
-            f = 1.0 + 1j * d_b * t[i] * np.conj(t[j]) * integral
-            factor[i, j] = f
-            factor[j, i] = np.conj(f)
-
-    evolved = SpinWaveDensityMatrix(grid=grid, rho=factor * rho0.rho)
+    evolved = SpinWaveDensityMatrix(grid=grid, rho=_factor_matrix(grid, config) * rho0.rho)
 
     eigs = np.linalg.eigvalsh(evolved.weighted())
     tr = evolved.trace()

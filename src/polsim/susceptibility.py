@@ -62,7 +62,10 @@ def xi(omega, config: PhysicalConfig):
     closed form.
     """
     if np.equal(omega, 0.0).any():
-        raise SingularFrequencyError("xi is singular at omega = 0; use cw_analytic")
+        raise SingularFrequencyError(
+            "the finite-frequency response is singular at omega = 0; "
+            "use cw_analytic for the CW limit"
+        )
     return omega + 1j * config.gamma - config.Omega**2 / omega
 
 
@@ -81,11 +84,6 @@ def _chi_arrays(dz, omega, config, scales):
     has a pole that cancels.  The pole check is the unscaled one with both
     sides multiplied by ``p``.
     """
-    if np.equal(omega, 0.0).any():
-        raise SingularFrequencyError(
-            "finite-frequency susceptibilities are singular at omega = 0; "
-            "use cw_analytic for the CW limit"
-        )
     x = xi(omega, config)
     om2 = config.Omega**2
     om4_w2 = om2**2 / omega**2

@@ -63,11 +63,13 @@ class TestSwitchFidelities:
             switch_fidelities(-1.0)
 
     def test_phase_independence(self):
+        # the control phase rotates arg R1 only: |t|, |r| and A do not move
         for d_b in (0.7, 5.0, 12.0):
-            a = switch_fidelities(d_b, 0.0)
-            b = switch_fidelities(d_b, 2.1)
-            assert a.quantum == pytest.approx(b.quantum, rel=1e-14)
-            assert a.classical == pytest.approx(b.classical, rel=1e-14)
+            t_a, r_a, loss_a = cw_bulk_coefficients(d_b, 0.0)
+            t_b, r_b, loss_b = cw_bulk_coefficients(d_b, 2.1)
+            assert abs(t_a) == pytest.approx(abs(t_b), rel=1e-14)
+            assert abs(r_a) == pytest.approx(abs(r_b), rel=1e-14)
+            assert loss_a == pytest.approx(loss_b, rel=1e-14)
 
     def test_loss_identity(self):
         # blocked minus rerouted power is exactly the scattered power

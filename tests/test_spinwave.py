@@ -267,6 +267,20 @@ class TestEvolveCw:
         assert np.max(np.abs(out.rho - expected * rho0.rho)) <= 1e-10 * np.max(np.abs(rho0.rho))
         assert np.array_equal(out.rho, out.rho.conj().T)
 
+    def test_coherence_factor_is_the_evolved_element(self):
+        # a rho0 of ones makes rho the factor matrix itself; every pair that
+        # evolve_cw integrates directly (i <= j, i + j <= N - 1 on this
+        # symmetric grid) must equal coherence_factor bit for bit
+        cfg = make_config(5.0, 5.0)
+        grid = np.linspace(0.0, cfg.L, 24)
+        n = grid.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PositivityWarning)
+            factor = evolve_cw(SpinWaveDensityMatrix(grid=grid, rho=np.ones((n, n))), cfg).rho
+        differ = [(i, j) for i in range(n) for j in range(i, n - i)
+                  if coherence_factor(grid[i], grid[j], cfg) != factor[i, j]]
+        assert differ == []
+
     @given(
         d_b=st.floats(min_value=0.5, max_value=20.0),
         length=st.floats(min_value=2.0, max_value=12.0),
