@@ -73,7 +73,6 @@ from .spinwave import (
 )
 from .susceptibility import (
     NU_INFINITY,
-    SusceptibilityTriple,
     free_susceptibilities,
     nu,
     susceptibilities,
@@ -88,8 +87,7 @@ __all__ = [
     "PhysicalConfig", "DerivedScales", "PulseSpec", "derive_scales",
     "gaussian_pulse_spectrum", "trapezoid_weights",
     # susceptibility
-    "SusceptibilityTriple", "susceptibilities", "free_susceptibilities",
-    "xi", "nu", "NU_INFINITY",
+    "susceptibilities", "free_susceptibilities", "xi", "nu", "NU_INFINITY",
     # polariton spectrum
     "REGIMES", "PolaritonBranch", "DispersionFit",
     "build_bloch_matrix", "dark_polariton_vectors", "default_k_grid",

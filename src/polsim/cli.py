@@ -493,12 +493,17 @@ _RUNNERS = {
 def _versions(task: str) -> dict:
     """Versions of the software behind a task's numbers.
 
+    ``numpy_simd`` holds the SIMD levels numpy was built for (``baseline``)
+    and dispatches to at run time (``found``): numpy's complex products
+    round differently with and without FMA, so bits hold per level.
     scipy is listed for the tasks that ran its quadrature, read from the
     module those tasks loaded, so the keys depend on the task alone.
     """
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
     versions = {
         "polsim": __version__,
         "numpy": np.__version__,
+        "numpy_simd": {"baseline": simd["baseline"], "found": simd.get("found", [])},
         "python": platform.python_version(),
     }
     if task in _QUADRATURE_TASKS:

@@ -169,7 +169,6 @@ class PulseSpec:
     weights ``w``.
     """
 
-    duration: float
     omega_grid: np.ndarray
     amplitudes: np.ndarray
 
@@ -212,4 +211,4 @@ def gaussian_pulse_spectrum(duration: float, omega_grid: np.ndarray) -> PulseSpe
     if norm <= 0.0:
         raise GridError("pulse spectrum vanishes on the supplied grid")
     amp = amp / math.sqrt(norm)
-    return PulseSpec(duration=duration, omega_grid=omega_grid, amplitudes=amp)
+    return PulseSpec(omega_grid=omega_grid, amplitudes=amp)

@@ -127,31 +127,19 @@ def _config_at_db(d_b: float, config: PhysicalConfig) -> PhysicalConfig:
     return replace(config, G=g_new)
 
 
-def _stored_mode_eta(config: PhysicalConfig, n_samples: int) -> float:
-    # the half-sine stored mode after CW scattering, in its best retrievable mode
-    rho0 = initial_sine_mode(config.L, n_samples)
-    return retrieval_eta(evolve_cw(rho0, config))
-
-
-def transistor_fidelity(
-    d_b: float,
-    config: PhysicalConfig,
-    *,
-    n_samples: int = 64,
-) -> float:
+def transistor_fidelity(d_b: float, config: PhysicalConfig) -> float:
     """Quantum-transistor fidelity: retrievable mode weight times |R1|**2.
 
-    The stored excitation starts in the half-sine mode of ``config``'s
-    medium, scatters the CW target, and keeps eta of its weight in the best
-    retrievable mode (dominant-eigenvalue estimate, converged to ~1e-8 by
-    n_samples = 64).  ``config`` fixes the geometry; its coupling strength
-    is rescaled so the depth per radius equals ``d_b``.
+    ``fidelity_report``'s ``f_transistor`` at the operating point where
+    ``config``'s coupling strength is rescaled so the depth per radius
+    equals ``d_b``; ``config`` fixes the geometry.  The stored excitation
+    starts in the half-sine mode of the medium, scatters the CW target, and
+    keeps eta of its weight in the best retrievable mode (dominant-eigenvalue
+    estimate on 64 samples, converged to ~1e-8).
     """
     if d_b <= 0.0:
         raise ValueError(f"d_b must be positive, got {d_b!r}")
-    cfg = _config_at_db(d_b, config)
-    eta = _stored_mode_eta(cfg, n_samples)
-    return eta * switch_fidelities(d_b).quantum
+    return fidelity_report(_config_at_db(d_b, config)).f_transistor
 
 
 def timing_estimates(config: PhysicalConfig) -> TimingEstimates:
@@ -216,7 +204,8 @@ def fidelity_report(
     switches = switch_fidelities(d_b)
     baseline = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
 
-    eta = _stored_mode_eta(config, n_samples)
+    # the half-sine stored mode after CW scattering, in its best retrievable mode
+    eta = retrieval_eta(evolve_cw(initial_sine_mode(config.L, n_samples), config))
 
     pulse_f: dict[float, float] = {}
     if durations:

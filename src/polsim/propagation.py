@@ -118,7 +118,6 @@ class ScatterResult:
     """
 
     omega: float
-    x: float
     transmission: complex
     reflection: complex
     absorption: float
@@ -143,8 +142,7 @@ def propagation_matrix(z, x, omega, config):
     the zero-frequency scattering is ``cw_analytic``.
     """
     dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
-    chi = susceptibilities(dz, omega, config)
-    m = _coefficient_matrix(chi.chi_r, chi.chi_l, chi.chi_c, config.phi)
+    m = _coefficient_matrix(*susceptibilities(dz, omega, config), config.phi)
     return m[0] if np.ndim(z) == 0 else m
 
 
@@ -352,7 +350,6 @@ def solve_bvp(omega, x, config):
         raise IllConditionedError("boundary solve produced a non-finite coefficient")
     return ScatterResult(
         omega=float(omega),
-        x=float(x),
         transmission=complex(t),
         reflection=complex(r),
         absorption=1.0 - abs(t) ** 2 - abs(r) ** 2,
@@ -408,7 +405,6 @@ def cw_analytic(x, config):
     t, r, loss = _cw_coefficients(nu_total.real, nu_total.imag, config.phi)
     return ScatterResult(
         omega=0.0,
-        x=float(x),
         transmission=t,
         reflection=r,
         absorption=loss,
@@ -517,9 +513,8 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
         raise GridError("omega_grid must be a nonempty one-dimensional array")
     scales = derive_scales(config)
     live = omega_grid != 0.0
-    chi = free_susceptibilities(omega_grid[live], config)
     a = (-1j * config.L / scales.z_b) * _coefficient_matrix(
-        chi.chi_r, chi.chi_l, chi.chi_c, config.phi
+        *free_susceptibilities(omega_grid[live], config), config.phi
     )
     m, d, q, a01_a10 = _invariants(a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1])
     s = np.sqrt(q)
@@ -552,7 +547,6 @@ class WidthFit:
     fitted: float
     predicted: float
     rel_error: float
-    n_used: int
 
 
 def fitted_transparency_width(t0_results: T0Spectrum) -> float:
@@ -595,11 +589,9 @@ def transparency_width_study(config, rel_window=1e-3, n=21) -> WidthFit:
         raise ValueError("need at least 7 samples")
     predicted = derive_scales(config).delta_omega0
     grid = np.linspace(-rel_window * predicted, rel_window * predicted, n)
-    spec = t0_spectrum(grid, config)
-    fitted = fitted_transparency_width(spec)
+    fitted = fitted_transparency_width(t0_spectrum(grid, config))
     return WidthFit(
         fitted=fitted,
         predicted=predicted,
         rel_error=abs(fitted - predicted) / predicted,
-        n_used=int(np.count_nonzero(np.abs(spec.transmission) > 0.9)),
     )

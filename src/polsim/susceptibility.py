@@ -24,7 +24,6 @@ Two conventions hold throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .core_model import DerivedScales, PhysicalConfig, derive_scales
 from .errors import SingularFrequencyError, SusceptibilityPoleError
 
 __all__ = [
-    "SusceptibilityTriple",
     "xi",
     "susceptibilities",
     "free_susceptibilities",
@@ -42,15 +40,6 @@ __all__ = [
 
 # Relative floor for the shared denominator before declaring a pole.
 _POLE_REL_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class SusceptibilityTriple:
-    """The three rescaled susceptibilities at one (dz, omega) point."""
-
-    chi_r: complex
-    chi_l: complex
-    chi_c: complex
 
 
 def xi(omega, config: PhysicalConfig):
@@ -131,20 +120,20 @@ def _vdw_or_inf(dz, config):
         return config.C6 / _sixth_power(np.asarray(dz, dtype=float))
 
 
-def _triple(chi_r, chi_l, chi_c, scalar):
+def _triple(chi, scalar):
     if scalar:
-        return SusceptibilityTriple(complex(chi_r[0]), complex(chi_l[0]), complex(chi_c[0]))
-    return SusceptibilityTriple(chi_r, chi_l, chi_c)
+        return tuple(complex(c[0]) for c in chi)
+    return chi
 
 
-def susceptibilities(dz: float, omega: float, config: PhysicalConfig) -> SusceptibilityTriple:
-    """Rescaled (chi_r, chi_l, chi_c) at separation ``dz`` from the gate.
+def susceptibilities(dz, omega: float, config: PhysicalConfig):
+    """Rescaled ``(chi_r, chi_l, chi_c)`` at separation ``dz`` from the gate.
 
     ``dz`` may be a scalar or array of real separations, including 0 (taken
-    as the fully blockaded limit of the potential); the triple components
-    match its shape, and a scalar gives the bits of the matching array
-    element.  ``omega`` must be nonzero; zero-frequency scattering is
-    ``cw_analytic``.
+    as the fully blockaded limit of the potential); the three arrays match
+    its shape, and a scalar gives three Python ``complex`` with the bits of
+    the matching array element.  ``omega`` must be nonzero; zero-frequency
+    scattering is ``cw_analytic``.
 
     Raises
     ------
@@ -152,18 +141,18 @@ def susceptibilities(dz: float, omega: float, config: PhysicalConfig) -> Suscept
         If the shared denominator vanishes; it names the first offending dz.
     """
     chi = _chi_arrays(np.atleast_1d(dz), omega, config, derive_scales(config))
-    return _triple(*chi, scalar=np.ndim(dz) == 0)
+    return _triple(chi, scalar=np.ndim(dz) == 0)
 
 
-def free_susceptibilities(omega, config: PhysicalConfig) -> SusceptibilityTriple:
-    """Susceptibilities of the gate-free medium (V identically zero).
+def free_susceptibilities(omega, config: PhysicalConfig):
+    """``(chi_r, chi_l, chi_c)`` of the gate-free medium (V identically zero).
 
-    ``omega`` may be a scalar or an array of nonzero frequencies; the triple
-    components match its shape, and a scalar gives the bits of the matching
-    array element.
+    ``omega`` may be a scalar or an array of nonzero frequencies; the three
+    arrays match its shape, and a scalar gives three Python ``complex`` with
+    the bits of the matching array element.
     """
     chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, derive_scales(config))
-    return _triple(*chi, scalar=np.ndim(omega) == 0)
+    return _triple(chi, scalar=np.ndim(omega) == 0)
 
 
 # The six roots r of r**6 = -2j and the partial-fraction weights of the CW

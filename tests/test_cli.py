@@ -108,10 +108,13 @@ class TestCwTask:
         assert manifest["task"] == "cw"
         assert manifest["warnings"] == []
         assert manifest["derived_scales"]["d_b"] == pytest.approx(5.0, rel=1e-12)
-        # no quadrature ran, so no scipy version
+        # no quadrature ran, so no scipy version; a baseline-only run (no
+        # SIMD level found above the build's baseline) records found = []
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
         assert manifest["versions"] == {
             "polsim": polsim.__version__,
             "numpy": np.__version__,
+            "numpy_simd": {"baseline": simd["baseline"], "found": simd.get("found", [])},
             "python": platform.python_version(),
         }
         for name in manifest["artifacts"]:

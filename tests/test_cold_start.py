@@ -77,7 +77,9 @@ def test_tasks_without_a_spin_wave_map_load_no_scipy(tmp_path):
         (task, 0, []) for task in CHEAP
     ]
     for task in CHEAP:
-        assert sorted(manifest_versions(tmp_path, task)) == ["numpy", "polsim", "python"]
+        assert sorted(manifest_versions(tmp_path, task)) == [
+            "numpy", "numpy_simd", "polsim", "python",
+        ]
 
 
 def test_spinwave_task_loads_the_quadrature(tmp_path):
@@ -88,5 +90,5 @@ def test_spinwave_task_loads_the_quadrature(tmp_path):
     assert run["exit"] == 0
     assert "scipy.integrate" in run["scipy"]
     assert sorted(manifest_versions(tmp_path, "spinwave")) == [
-        "numpy", "polsim", "python", "scipy",
+        "numpy", "numpy_simd", "polsim", "python", "scipy",
     ]

@@ -1,7 +1,7 @@
 """The package namespace re-exports exactly the library modules' public names,
 no library module imports a name it neither uses nor exports, every
-module-level private name has a reader, and no public function takes scales
-apart from its config."""
+module-level private name and every result field has a reader, and no public
+function takes scales apart from its config."""
 
 import ast
 import importlib
@@ -9,6 +9,8 @@ import inspect
 from pathlib import Path
 
 import polsim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LIBRARY_MODULES = (
     "core_model", "errors", "susceptibility", "polariton_spectrum",
@@ -76,6 +78,29 @@ def test_every_private_name_is_read():
                 read.add(node.attr)
     unread = sorted(f"{where}: {name}" for name, where in defined.items() if name not in read)
     assert not unread, f"private names nothing reads: {unread}"
+
+
+def test_every_result_field_is_read():
+    # a field of a library class (an annotated name in a class body) must be
+    # read as an attribute somewhere in the library, its tests or its
+    # benchmark; a field that nothing reads is computed and carried for no one
+    fields, read = [], set()
+    for path in sorted(Path(polsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                fields += [
+                    (f"{path.name}: {node.name}", item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    sources = [p for part in ("src", "tests", "perfbench") for p in (ROOT / part).rglob("*.py")]
+    for path in sorted(sources):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert fields
+    unread = sorted(f"{owner}.{name}" for owner, name in fields if name not in read)
+    assert not unread, f"result fields nothing reads: {unread}"
 
 
 def test_scales_come_from_the_config():
