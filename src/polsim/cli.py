@@ -49,32 +49,7 @@ from .spinwave import blockade_loss_baseline, evolve_cw, initial_sine_mode, retr
 
 __all__ = ["TASKS", "run", "main"]
 
-TASKS = ("spectrum", "t0", "propagate", "cw", "spinwave", "fidelity", "scan")
-
 _PHYSICAL_KEYS = ("G", "Omega", "OmegaS", "gamma", "phi", "c", "C6", "L", "x_gate")
-
-# required keys and optional-with-default keys per task
-_TASK_PARAMS: dict[str, tuple[set, dict]] = {
-    "spectrum": ({"regime"}, {"kmax_labs": 2.0, "n_k": 401}),
-    "t0": ({"omega_min", "omega_max", "n_omega"}, {"fit_width": False}),
-    "propagate": ({"omega"}, {}),
-    "cw": ({"d_b_min", "d_b_max", "n_db"}, {}),
-    "spinwave": (set(), {"n_samples": 256}),
-    "fidelity": (
-        {"d_b_min", "d_b_max", "n_db"},
-        {
-            "durations": None,
-            "omega_min": None,
-            "omega_max": None,
-            "n_omega": None,
-            "n_samples": 64,
-        },
-    ),
-    "scan": (
-        {"parameter", "values", "observable"},
-        {"rel_window": 1e-3, "n_omega": 21},
-    ),
-}
 
 _SCAN_OBSERVABLES = ("transparency_width", "cw_point")
 
@@ -145,7 +120,7 @@ def _grid(params: dict, name: str, n_key: str, positive: bool = False) -> np.nda
 
 
 def _resolve_params(task: str, raw: dict) -> dict:
-    required, optional = _TASK_PARAMS[task]
+    _, required, optional = _TASKS[task]
     _check_keys(raw, required, optional, f"task_params ({task})")
     params = dict(optional)
     params.update(raw)
@@ -479,15 +454,26 @@ def _run_scan(cfg, scales, params):
     return {"scan.csv": _csv_text(header, columns)}, extras
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "t0": _run_t0,
-    "propagate": _run_propagate,
-    "cw": _run_cw,
-    "spinwave": _run_spinwave,
-    "fidelity": _run_fidelity,
-    "scan": _run_scan,
+# runner, required keys and optional-with-default keys per task
+_TASKS = {
+    "spectrum": (_run_spectrum, {"regime"}, {"kmax_labs": 2.0, "n_k": 401}),
+    "t0": (_run_t0, {"omega_min", "omega_max", "n_omega"}, {"fit_width": False}),
+    "propagate": (_run_propagate, {"omega"}, {}),
+    "cw": (_run_cw, {"d_b_min", "d_b_max", "n_db"}, {}),
+    "spinwave": (_run_spinwave, set(), {"n_samples": 256}),
+    "fidelity": (
+        _run_fidelity,
+        {"d_b_min", "d_b_max", "n_db"},
+        {"durations": None, "omega_min": None, "omega_max": None, "n_omega": None,
+         "n_samples": 64},
+    ),
+    "scan": (
+        _run_scan,
+        {"parameter", "values", "observable"},
+        {"rel_window": 1e-3, "n_omega": 21},
+    ),
 }
+TASKS = tuple(_TASKS)
 
 
 def _versions(task: str) -> dict:
@@ -577,7 +563,7 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
     timestamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        artifacts, extras = _RUNNERS[task](cfg, scales, params)
+        artifacts, extras = _TASKS[task][0](cfg, scales, params)
 
     manifest = {
         "task": task,

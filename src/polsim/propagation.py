@@ -19,13 +19,14 @@ sinh(s)/s are entire functions of q = s**2: where |q| <= 1/4 (every step of
 a typical solve) they are short power series in q, and only wider steps
 take cosh and sinh of s = sqrt(q).  The base
 grid is uniform; up to four halvings follow, and the finer grid of the
-first pair that agrees is accepted.  The base grid and its first halving
-share one coefficient evaluation and one tree product: the first
-halving's pair products are stacked with the base grid's steps and
-reduced together.  Each further halving reuses every coefficient of the
-coarser grid and evaluates only its new midpoints.  Every scattering
-quantity is then a ratio of
-products, so none comes from a cancelling sum however deep the medium:
+first pair that agrees is accepted.  One loop treats every halving alike:
+it builds the finer grid's steps and their pair products, and one stacked
+tree product reduces those pairs together with the coarser grid's steps,
+carried from the pass before, giving both fundamental matrices.  One
+coefficient evaluation serves the first halving's nodes and midpoints,
+which hold the base grid's, and each further halving evaluates only its
+new midpoints.  Every scattering quantity is then a ratio of products,
+so none comes from a cancelling sum however deep the medium:
 with Phi the accepted fundamental matrix, R = -Phi10 / Phi11 and
 T = det Phi / Phi11, where det Phi is the exponential of the summed step
 traces.  The field at node k follows from the suffix product S_k of the
@@ -164,6 +165,12 @@ def _build_nodes(length_zb: float) -> np.ndarray:
     return np.linspace(0.0, length_zb, max(1, math.ceil(length_zb / _STEP)) + 1)
 
 
+def _level_one_nodes(length_zb: float) -> np.ndarray:
+    """The base nodes interleaved with their step midpoints: the grid of level 1."""
+    nodes = _build_nodes(length_zb)
+    return _interleave(nodes, 0.5 * (nodes[:-1] + nodes[1:]))
+
+
 def _mul(p, q):
     """Elementwise 2x2 products p @ q of component stacks, shape (4, ...).
 
@@ -173,7 +180,9 @@ def _mul(p, q):
     """
     a = p.reshape((2, 2) + p.shape[1:])
     b = q.reshape((2, 2) + q.shape[1:])
-    return (a[:, :1] * b[:1] + a[:, 1:] * b[1:]).reshape(p.shape)
+    out = a[:, :1] * b[:1]
+    out += a[:, 1:] * b[1:]
+    return out.reshape(p.shape)
 
 
 def _interleave(nodes, mid):
@@ -296,51 +305,45 @@ def solve_bvp(omega, x, config):
         m = propagation_matrix(points * scales.z_b, x, omega, config)
         return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
 
-    def check(level, steps, phi):
-        if not np.isfinite(phi).all():
-            raise IllConditionedError(
-                f"fundamental matrix overflows at refinement level {level} "
-                f"({steps.shape[1]} steps)"
-            )
-
     # each level's nodes are the previous level's nodes and step midpoints,
-    # so levels 0 and 1 share one evaluation on level 1's nodes and
-    # midpoints, and each further level evaluates only its new midpoints
-    nodes_0 = _build_nodes(config.L / scales.z_b)
-    nodes = _interleave(nodes_0, 0.5 * (nodes_0[:-1] + nodes_0[1:]))
+    # so one evaluation on level 1's nodes and midpoints also serves level
+    # 0, and each further level evaluates only its new midpoints
+    nodes = _level_one_nodes(config.L / scales.z_b)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     a = coefficients(_interleave(nodes, mid))
     a_nodes, a_mid = a[:, 0::2], a[:, 1::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        steps_0, _ = _magnus_steps(nodes_0, a[:, 0::4], a[:, 2::4])
-        steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
-        # the pair products are the first round of level 1's tree, so one
-        # reduction of both stacks gives both fundamental matrices
-        pairs = _mul(steps[:, 1::2], steps[:, 0::2])
-        phis = _tree_product(np.stack([steps_0, pairs], axis=1))
-    check(0, steps_0, phis[:, 0])
-    check(1, steps, phis[:, 1])
-    level, phi = 1, phis[:, 1]
-    err = _relative_change(phi, phis[:, 0])
-    while err > _RICHARDSON_TOL:
-        if level == _MAX_REFINEMENTS:
-            raise QuadratureError(
-                f"step halving stalled at relative change {err:.3g} "
-                f"(tolerance {_RICHARDSON_TOL:.3g})",
-                achieved=err,
-            )
-        level += 1
-        nodes = _interleave(nodes, mid)
-        a_nodes = _interleave(a_nodes, a_mid)
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        a_mid = coefficients(mid)
+        coarse, _ = _magnus_steps(nodes[0::2], a_nodes[:, 0::2], a_nodes[:, 1::2])
+    for level in range(1, _MAX_REFINEMENTS + 1):
+        if level > 1:
+            nodes = _interleave(nodes, mid)
+            a_nodes = _interleave(a_nodes, a_mid)
+            mid = 0.5 * (nodes[:-1] + nodes[1:])
+            a_mid = coefficients(mid)
         with np.errstate(over="ignore", invalid="ignore"):
             steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
-            phi_f = _tree_product(steps)
-        check(level, steps, phi_f)
-        err = _relative_change(phi_f, phi)
-        phi = phi_f
+            # the pair products are the first round of this level's tree, so
+            # one reduction of both stacks gives both fundamental matrices
+            pairs = _mul(steps[:, 1::2], steps[:, 0::2])
+            phis = _tree_product(np.stack([coarse, pairs], axis=1))
+        if not np.isfinite(phis).all():
+            k = int(np.isfinite(phis[:, 0]).all())  # the coarser level first
+            raise IllConditionedError(
+                f"fundamental matrix overflows at refinement level {level - 1 + k} "
+                f"({(coarse, steps)[k].shape[1]} steps)"
+            )
+        err = _relative_change(phis[:, 1], phis[:, 0])
+        if not err > _RICHARDSON_TOL:  # a NaN change is accepted too
+            break
+        coarse = steps
+    else:
+        raise QuadratureError(
+            f"step halving stalled at relative change {err:.3g} "
+            f"(tolerance {_RICHARDSON_TOL:.3g})",
+            achieved=err,
+        )
 
+    phi = phis[:, 1]
     if phi[3] == 0.0:
         raise IllConditionedError("boundary solve hit a vanishing pivot")
     r = -phi[2] / phi[3]
@@ -422,8 +425,7 @@ def _cw_field(x, config, scales, nu_total, r, t):
     E_left = e^{-i phi} (nu(L) - nu(z)) / (1 + nu(L)), on the base nodes
     interleaved with their midpoints: the grid of ``solve_bvp`` at level 1.
     """
-    nodes = _build_nodes(config.L / scales.z_b)
-    z = _interleave(nodes, 0.5 * (nodes[:-1] + nodes[1:])) * scales.z_b
+    z = _level_one_nodes(config.L / scales.z_b) * scales.z_b
     rest = nu_total - nu(z[1:-1], x, scales)
     denom = 1.0 + nu_total
     psi = np.empty((z.size, 2), dtype=np.complex128)

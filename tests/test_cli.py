@@ -230,12 +230,23 @@ class TestPropagateTask:
             assert column(rows, "re_E_fwd")[0] == 1.0  # unit forward amplitude at entry
             assert column(rows, "re_E_bwd")[-1] == 0.0  # no backward input at exit
 
-    @pytest.mark.parametrize("omega, refinements, rows", [(0.0, 0, 4801), (0.45, 1, 4801)])
-    def test_one_row_per_node_of_the_accepted_grid(self, tmp_path, omega, refinements, rows):
-        # L = 24 z_b at 100 * 2**k steps per radius after k refinements; the
+    @pytest.mark.parametrize(
+        "physical, omega, refinements, rows",
+        [
+            (PHYSICAL, 0.0, 0, 4801),
+            (PHYSICAL, 0.45, 1, 4801),
+            # a short medium above the transparency window halves three times
+            (dict(PHYSICAL, G=math.sqrt(20.0), L=2.0, x_gate=1.0), 1.0, 3, 1601),
+        ],
+        ids=["0.0-0-4801", "0.45-1-4801", "1.0-3-1601"],
+    )
+    def test_one_row_per_node_of_the_accepted_grid(
+        self, tmp_path, physical, omega, refinements, rows
+    ):
+        # L z_b at 100 * 2**k steps per radius after k refinements; the
         # closed form at omega = 0 writes the grid of one refinement
         cfg = write_config(
-            tmp_path, physical=PHYSICAL, task="propagate",
+            tmp_path, physical=physical, task="propagate",
             task_params={"omega": omega}, output_dir=str(tmp_path / "out"),
         )
         assert main(["propagate", "--config", str(cfg)]) == 0

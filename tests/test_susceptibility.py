@@ -275,7 +275,8 @@ class TestNu:
             z = float(rng.uniform(2.0, 12.0))
             x = float(rng.uniform(0.0, z))
             zs = np.linspace(0.0, z, 400001)
-            brute = 1j * np.trapezoid(chi0_cw(zs - x, SCALES), zs)
+            f = chi0_cw(zs - x, SCALES)
+            brute = 1j * np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(zs))
             assert nu(z, x, SCALES) == pytest.approx(brute, abs=5e-8 * SCALES.d_b)
 
     def test_bulk_limit_when_gate_is_deep(self):
