@@ -201,7 +201,8 @@ def _csv_text(header: list[str], columns) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # a non-finite number is no JSON: it raises ValueError, a numerical failure
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:

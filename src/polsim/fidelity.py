@@ -93,6 +93,8 @@ def reflection_spectrum(omega_grid: np.ndarray, config: PhysicalConfig) -> np.nd
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise GridError("frequency grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(omega_grid)):
+        raise GridError("frequency grid must be finite")
     out = np.empty(omega_grid.size, dtype=complex)
     for i, omega in enumerate(omega_grid):
         if omega == 0.0:

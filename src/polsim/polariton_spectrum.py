@@ -255,32 +255,25 @@ def fit_dispersion(branch: PolaritonBranch, config: PhysicalConfig) -> Dispersio
             f"{_FIT_K_MAX}, got {np.count_nonzero(window)}"
         )
     kk = branch.k_samples[window]
-    ww = branch.omega[window]
-
+    # y = coeff * k**power through the origin: Re(omega) linear in k, or the
+    # complex omega quadratic in k
     if branch.regime == "free":
-        y = ww.real
-        slope = float(np.sum(kk * y) / np.sum(kk * kk))
-        fitted = slope * kk
-        scale = max(float(np.max(np.abs(y))), 1e-300)
-        residual = float(np.sqrt(np.mean((y - fitted) ** 2))) / scale
-        v = slope * config.gamma * scales.l_abs
-        if v >= 0.0:
-            reference = config.c * config.Omega**2 / (config.G**2 + config.Omega**2)
-        else:
-            reference = -config.c * config.OmegaS**2 / (config.G**2 + config.OmegaS**2)
-        value = complex(v)
-        model = "linear"
+        model, power, x, y = "linear", 1, kk, branch.omega[window].real
     else:
-        k2 = kk * kk
-        coeff = complex(np.sum(k2 * ww) / np.sum(k2 * k2))
-        fitted = coeff * k2
-        scale = max(float(np.max(np.abs(ww))), 1e-300)
-        residual = float(np.sqrt(np.mean(np.abs(ww - fitted) ** 2))) / scale
-        value = coeff * config.gamma * scales.l_abs**2
+        model, power, x, y = "quadratic", 2, kk * kk, branch.omega[window]
+    coeff = np.sum(x * y) / np.sum(x * x)
+    scale = max(float(np.max(np.abs(y))), 1e-300)
+    residual = float(np.sqrt(np.mean(np.abs(y - coeff * x) ** 2))) / scale
+    value = complex(coeff) * config.gamma * scales.l_abs**power
+
+    if model == "quadratic":
         reference = -2j * scales.l_abs * config.c * config.Omega**2 / (
             config.G**2 + 2.0 * config.Omega**2
         )
-        model = "quadratic"
+    elif value.real >= 0.0:
+        reference = config.c * config.Omega**2 / (config.G**2 + config.Omega**2)
+    else:
+        reference = -config.c * config.OmegaS**2 / (config.G**2 + config.OmegaS**2)
 
     if residual > 1e-3:
         warnings.warn(

@@ -293,9 +293,11 @@ def solve_bvp(omega, x, config):
     """Scattering of a unit probe at frequency ``omega`` off a gate at ``x``.
 
     Boundary conditions: E_right(0) = 1 and E_left(L) = 0.  ``omega`` must
-    be nonzero: ``omega == 0`` raises ``SingularFrequencyError``, and the
-    zero-frequency scattering is ``cw_analytic``.
+    be finite and nonzero: ``omega == 0`` raises ``SingularFrequencyError``,
+    and the zero-frequency scattering is ``cw_analytic``.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
     scales = derive_scales(config)
@@ -326,8 +328,10 @@ def solve_bvp(omega, x, config):
             # one reduction of both stacks gives both fundamental matrices
             pairs = _mul(steps[:, 1::2], steps[:, 0::2])
             phis = _tree_product(np.stack([coarse, pairs], axis=1))
-        if not np.isfinite(phis).all():
-            k = int(np.isfinite(phis[:, 0]).all())  # the coarser level first
+            # a modulus beyond the float range overflows too, finite parts or not
+            finite = np.isfinite(np.abs(phis))
+        if not finite.all():
+            k = int(finite[:, 0].all())  # the coarser level first
             raise IllConditionedError(
                 f"fundamental matrix overflows at refinement level {level - 1 + k} "
                 f"({(coarse, steps)[k].shape[1]} steps)"
@@ -513,6 +517,8 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise GridError("omega_grid must be a nonempty one-dimensional array")
+    if not np.all(np.isfinite(omega_grid)):
+        raise GridError("omega_grid must be finite")
     scales = derive_scales(config)
     live = omega_grid != 0.0
     a = (-1j * config.L / scales.z_b) * _coefficient_matrix(

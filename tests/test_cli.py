@@ -1,6 +1,7 @@
 """End-to-end tests of the batch runner: schema, artifacts, determinism."""
 
 import csv
+import dataclasses
 import errno
 import itertools
 import json
@@ -472,6 +473,33 @@ class TestSchemaAndExitCodes:
         assert main(["propagate", "--config", str(cfg)]) == 3
         assert "overflows at refinement level 0" in capsys.readouterr().err
         assert list(out.glob("*")) == []
+
+    def test_overflowing_modulus_exits_3_without_artifacts(self, tmp_path, capsys):
+        # finite parts but a modulus beyond the float range: no field of
+        # zeros and no NaN Richardson error is written
+        out = tmp_path / "out"
+        physical = dict(PHYSICAL, G=math.sqrt(56.1657))
+        cfg = write_config(
+            tmp_path, physical=physical, task="propagate",
+            task_params={"omega": 1.0}, output_dir=str(out),
+        )
+        assert main(["propagate", "--config", str(cfg)]) == 3
+        assert "overflows at refinement level 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_json_value_exits_3_without_artifacts(self, tmp_path, monkeypatch):
+        # a NaN is no JSON number, so it never reaches the manifest
+        def nan_error(*args):
+            return dataclasses.replace(solve_bvp(*args), richardson_error=math.nan)
+
+        monkeypatch.setattr(polsim.cli, "solve_bvp", nan_error)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=PHYSICAL, task="propagate",
+            task_params={"omega": 1.0}, output_dir=str(out),
+        )
+        assert main(["propagate", "--config", str(cfg)]) == 3
+        assert not out.exists()
 
     def test_runner_validation_exits_2_without_output_dir(self, tmp_path):
         out = tmp_path / "out"

@@ -41,6 +41,11 @@ def test_every_import_is_used_or_exported():
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
+                    if alias.name == "*":
+                        # `from .m import *` binds each name of m.__all__
+                        star = importlib.import_module(f"polsim.{node.module}")
+                        imported.update(star.__all__)
+                        continue
                     name = alias.asname or alias.name.split(".")[0]
                     imported.add(name)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -135,6 +135,11 @@ class TestPulseRouterFidelity:
         with pytest.raises(GridError):
             reflection_spectrum(np.array([]), physical_config())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_is_a_grid_error(self, bad):
+        with pytest.raises(GridError, match="finite"):
+            reflection_spectrum(np.array([bad, 1e6]), physical_config())
+
 
 class TestTransistorFidelity:
     def test_monotone_in_depth(self):

@@ -14,7 +14,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from polsim.core_model import PhysicalConfig, derive_scales
-from polsim.errors import FitWindowError, GridError
+from polsim.errors import FitWindowError, FitWindowWarning, GridError
 from polsim.polariton_spectrum import (
     build_bloch_matrix,
     composition,
@@ -355,6 +355,27 @@ class TestFitDispersion:
         assert fit.reference == pytest.approx(-2j / 3.0, rel=1e-12)
         assert fit.rel_error < 0.01
         assert abs(fit.value.real) < 1e-3 * abs(fit.value.imag)
+
+    @pytest.mark.parametrize(
+        "regime, G, Omega, OmegaS, model, residual",
+        [
+            ("free", 3.0, 3.0, 0.1, "linear", 2.5e-3),
+            ("blockaded", 30.0, 30.0, 1.0, "quadratic", 6.2e-3),
+        ],
+    )
+    def test_curved_window_warns(self, regime, G, Omega, OmegaS, model, residual):
+        # criterion 6's window on the unit medium: the dark branch bends
+        # inside it, and the fit says so while still returning its result
+        cfg = make_config(G=G, Omega=Omega, OmegaS=OmegaS, C6=1.0, L=24.0, x_gate=12.0)
+        grid = np.linspace(-0.01, 0.01, 41) / derive_scales(cfg).l_abs
+        darks = [b for b in spectrum(grid, regime, cfg) if b.kind == "dark"]
+        assert darks
+        for dark in darks:
+            with pytest.warns(FitWindowWarning, match=f"{model} fit residual"):
+                fit = fit_dispersion(dark, cfg)
+            assert fit.model == model
+            assert fit.residual == pytest.approx(residual, rel=0.05)
+            assert np.isfinite(fit.value) and fit.rel_error > 0.0
 
     def test_wide_grid_has_no_usable_window(self):
         cfg = make_config(G=1.0)

@@ -173,6 +173,24 @@ class TestSolveBvpCw:
             with pytest.raises(IllConditionedError, match=r"level 0 \(4800 steps\)"):
                 solve_bvp(1.0, 24.0, cfg)
 
+    @pytest.mark.parametrize(
+        "d_b, omega", [(56.1657, 1.0), (54.5254, -1.0), (188.17505, 3.0)]
+    )
+    def test_overflowing_modulus_is_ill_conditioned(self, d_b, omega):
+        # every entry of the level-0 product has finite real and imaginary
+        # parts, but a modulus beyond the float range: no Richardson test can
+        # read it, so it is no accepted result
+        cfg = make_config(d_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match=r"level 0 \(2400 steps\)"):
+                solve_bvp(omega, 12.0, cfg)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            solve_bvp(omega, 12.0, make_config(1.0))
+
     def test_deep_scan_is_solved_or_ill_conditioned(self):
         # optical depth per blockade radius from 5 to 100: every input is
         # accepted or overflows, and no halving stalls
@@ -1034,6 +1052,11 @@ class TestT0Spectrum:
             t0_spectrum(np.zeros((2, 2)), make_config(1.0))
         with pytest.raises(GridError):
             t0_spectrum(np.array([]), make_config(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_is_a_grid_error(self, bad):
+        with pytest.raises(GridError, match="finite"):
+            t0_spectrum(np.array([bad, 0.1]), make_config(1.0))
 
 
 def width_config(ratio):
