@@ -53,8 +53,8 @@ _PHYSICAL_KEYS = ("G", "Omega", "OmegaS", "gamma", "phi", "c", "C6", "L", "x_gat
 
 _SCAN_OBSERVABLES = ("transparency_width", "cw_point")
 
-# tasks whose numbers come from scipy's adaptive quad (the spin-wave map);
-# the others never load scipy
+# tasks whose numbers come from scipy's adaptive quad_vec (the spin-wave
+# map); the others never load scipy
 _QUADRATURE_TASKS = ("spinwave", "fidelity")
 
 

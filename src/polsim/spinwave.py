@@ -34,6 +34,10 @@ __all__ = [
 # PositivityWarning; finite grids legitimately wobble at the 1e-8 level
 PSD_SLACK = 1e-8
 
+# grid pairs per quad_vec call: quad_vec keeps every subinterval's vector,
+# so one call over all pairs of a 256-point map held 141 MB more at peak
+_PAIR_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class SpinWaveDensityMatrix:
@@ -123,45 +127,9 @@ def _kernel_imag(z, xr, yr):
     return 2.0 * d * d / ((u * u + 4.0) * (v * v + 4.0))
 
 
-def _kernel_integral(xr: float, yr: float, length_r: float) -> complex:
-    # z, x, y in blockade-radius units; narrow features of unit width sit at
-    # z = x and z = y, so both are quadrature break points.  The real and
-    # imaginary parts are integrated by two real quad runs on closed-form
-    # float integrands: |(u + 2i)(v - 2i)|**2 = (u**2 + 4)(v**2 + 4), so
-    # neither part does complex arithmetic.  scipy is imported here, not at
-    # module top, so that importing polsim and every task without a
-    # spin-wave map loads numpy alone.
-    from scipy.integrate import quad
-
-    # a break point within a rounding of the wall z = 0 is the wall: QUADPACK
-    # takes a sub-interval narrower than about 1e-304 for bad integrand
-    # behaviour, and its error estimate then fails the test below
-    wall = np.finfo(float).eps * length_r
-    pts = sorted({p for p in (xr, yr) if wall < p < length_r})
-    epsabs = 1e-10
-    (real, err_re), (imag, err_im) = (
-        quad(
-            part,
-            0.0,
-            length_r,
-            args=(xr, yr),
-            points=pts or None,
-            limit=400,
-            epsabs=epsabs,
-            epsrel=1e-10,
-        )
-        for part in (_kernel_real, _kernel_imag)
-    )
-    val = complex(real, imag)
-    err_total = abs(err_re) + abs(err_im)
-    if err_total > max(10.0 * epsabs, 1e-8 * abs(val)):
-        raise QuadratureError(
-            f"coherence kernel quadrature did not converge at "
-            f"(x, y) = ({xr:.6g}, {yr:.6g}) blockade radii "
-            f"(error estimate {err_total:.3g})",
-            achieved=err_total,
-        )
-    return val
+def _kernel_parts(z, xr, yr):
+    """Real parts, then imaginary parts, of the kernel at z for pair arrays."""
+    return np.concatenate((_kernel_real(z, xr, yr), _kernel_imag(z, xr, yr)))
 
 
 def _factor_matrix(grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
@@ -170,27 +138,40 @@ def _factor_matrix(grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
     t = 1 / (1 + nu(L, x)) is ``cw_analytic``'s gate transmission and K the
     kernel integral.  Only the strict upper triangle is computed; F is that
     triangle plus its conjugate transpose, so the diagonal is exactly 1 and
-    F exactly Hermitian.  K(x, y) = K(L - x, L - y) and K(y, x) =
-    -conj(K(x, y)), so on a grid symmetric about L/2 only pairs (i, j) with
-    i + j <= N - 1 are integrated and the rest read their mirror image.
+    F exactly Hermitian.  The kernels of up to _PAIR_BLOCK pairs are one
+    vector integrand of scipy's adaptive ``quad_vec``, so every pair of a
+    block shares one partition of [0, L].  scipy is imported here, not at
+    module top, so that importing polsim and every task without a spin-wave
+    map loads numpy alone.
     """
+    from scipy.integrate import quad_vec
+
     scales = derive_scales(config)
     nu_l = nu(config.L, grid, scales)
     t = _cw_coefficients(nu_l.real, nu_l.imag, 0.0)[0]
+    # z, x, y in blockade-radius units
     length_r = config.L / scales.z_b
-    # as Python floats: numpy scalars would make every integrand operation
-    # a numpy scalar operation, which nearly doubles the quadrature's time
-    points = (grid / scales.z_b).tolist()
+    points = grid / scales.z_b
 
     n = grid.size
-    mirrored = bool(np.all(np.abs(grid + grid[::-1] - config.L) <= 1e-12 * config.L))
+    rows, cols = np.triu_indices(n, 1)
     kernel = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mirrored and i + j > n - 1:
-                kernel[i, j] = -np.conj(kernel[n - 1 - j, n - 1 - i])
-            else:
-                kernel[i, j] = _kernel_integral(points[i], points[j], length_r)
+    for start in range(0, rows.size, _PAIR_BLOCK):
+        i = rows[start:start + _PAIR_BLOCK]
+        j = cols[start:start + _PAIR_BLOCK]
+        parts, err, info = quad_vec(
+            _kernel_parts, 0.0, length_r, args=(points[i], points[j]),
+            epsabs=1e-10, epsrel=1e-10, norm="max", full_output=True,
+        )
+        block = parts[:i.size] + 1j * parts[i.size:]
+        if info.status != 0 or err > max(1e-9, 1e-8 * np.max(np.abs(block))):
+            raise QuadratureError(
+                f"coherence kernel quadrature did not converge on the "
+                f"{n}-point grid over L = {length_r:.6g} blockade radii "
+                f"(status {info.status}, error estimate {err:.3g})",
+                achieved=err,
+            )
+        kernel[i, j] = block
     upper = 1j * scales.d_b * np.outer(t, t.conj()) * kernel
     return 1.0 + upper + upper.conj().T
 
@@ -217,10 +198,10 @@ def evolve_cw(rho0: SpinWaveDensityMatrix, config: PhysicalConfig) -> SpinWaveDe
 
     Multiplies rho0 by the coherence factor of every grid pair, leaving the
     diagonal untouched.  The grid must lie within [0, L] of ``config``.
-    Raises QuadratureError naming the offending pair if an element integral
-    fails to converge, and emits a PositivityWarning if discretization
-    pushes the result out of the PSD cone by more than PSD_SLACK times the
-    trace.
+    Raises QuadratureError naming the grid size and the medium length if a
+    block of the kernel quadrature fails to converge, and emits a
+    PositivityWarning if discretization pushes the result out of the PSD
+    cone by more than PSD_SLACK times the trace.
     """
     grid = rho0.grid
     if grid[0] < 0.0 or grid[-1] > config.L:

@@ -3,14 +3,16 @@
 Oracle strategy: the evolution factor has an exact partial-fraction
 decomposition into two boundary transmission integrals plus a cross term,
 so every direct kernel evaluation can be cross-checked through a second,
-independently assembled route.  The kernel integral, two real quad runs on
-closed-form parts, is also checked against one complex quad run on the
-complex integrand.  The far-separation plateau is pinned to the bulk loss
+independently assembled route.  The factor matrix, one vector adaptive
+quadrature of the closed-form real and imaginary parts over many grid pairs,
+is also checked against one scalar complex quad run per pair on the complex
+integrand.  The far-separation plateau is pinned to the bulk loss
 coefficient from the propagation module.
 """
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from polsim.propagation import cw_bulk_coefficients
 from polsim.spinwave import (
     SpinWaveDensityMatrix,
     _kernel_imag,
-    _kernel_integral,
     _kernel_real,
     blockade_loss_baseline,
     coherence_factor,
@@ -87,6 +88,23 @@ class TestInitialSineMode:
             SpinWaveDensityMatrix(grid=np.linspace(0, 1, 4), rho=np.eye(3))
 
 
+def oracle_factor(x, y, cfg):
+    """F(x, y) from 1/(1 + nu) and one complex quad run of the kernel."""
+    scales = derive_scales(cfg)
+    t_x = 1.0 / (1.0 + nu(cfg.L, x, scales))
+    t_y = 1.0 / (1.0 + nu(cfg.L, y, scales))
+    kernel = complex_kernel_integral(x / scales.z_b, y / scales.z_b, cfg.L / scales.z_b)
+    return 1.0 + 1j * scales.d_b * t_x * np.conj(t_y) * kernel
+
+
+def factor_matrix(grid, cfg):
+    """evolve_cw's factors on ``grid``: a rho0 of ones makes rho the factors."""
+    ones = SpinWaveDensityMatrix(grid=grid, rho=np.ones((grid.size, grid.size)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PositivityWarning)
+        return evolve_cw(ones, cfg).rho
+
+
 class TestKernelIntegral:
     def test_real_integrands_split_the_complex_kernel(self):
         # same sixth powers on both sides, so only the split into real and
@@ -98,37 +116,59 @@ class TestKernelIntegral:
         z[:100] = x[:100]
         z[100:200] = y[100:200]
         z[200:300] = 0.5 * (x[200:300] + y[200:300])
-        for zi, xi, yi in zip(z, x, y):
-            u = _sixth_power(zi - xi)
-            v = _sixth_power(zi - yi)
-            ref = (u - v) / ((u + 2j) * (v - 2j))
-            assert abs(_kernel_real(zi, xi, yi) - ref.real) <= 4 * EPS * abs(ref)
-            assert abs(_kernel_imag(zi, xi, yi) - ref.imag) <= 4 * EPS * abs(ref)
+        u = _sixth_power(z - x)
+        v = _sixth_power(z - y)
+        ref = (u - v) / ((u + 2j) * (v - 2j))
+        assert np.all(np.abs(_kernel_real(z, x, y) - ref.real) <= 4 * EPS * np.abs(ref))
+        assert np.all(np.abs(_kernel_imag(z, x, y) - ref.imag) <= 4 * EPS * np.abs(ref))
 
     def test_matches_one_complex_quad_run(self):
         rng = np.random.default_rng(41)
         for length in (2.0, 5.0, 20.0):
+            cfg = make_config(5.0, length)
             inner = rng.uniform(0.0, length, size=4)
             pairs = [(0.0, length), (0.0, inner[0]), (inner[1], length),
                      (length, inner[2]), (inner[2], inner[3]), (inner[3], 0.0),
                      (inner[0], inner[0] + 1e-3)]
-            for xr, yr in pairs:
-                assert abs(_kernel_integral(xr, yr, length)
-                           - complex_kernel_integral(xr, yr, length)) <= 1e-12
+            grid = np.unique(pairs)
+            factor = factor_matrix(grid, cfg)
+            for x, y in pairs:
+                ref = oracle_factor(x, y, cfg)
+                i, j = np.searchsorted(grid, (x, y))
+                assert abs(factor[i, j] - ref) <= 1e-12
+                assert abs(coherence_factor(x, y, cfg) - ref) <= 1e-12
 
-    def test_break_point_next_to_the_wall_is_the_wall(self):
-        # a sub-interval [0, x] of width about 1e-307 fails QUADPACK's error
-        # test, so x is no break point; the integrand barely moves over it
-        ref = _kernel_integral(0.0, 1.5, 3.0)
-        for xr in (6.675221575521604e-308, 1e-305, 1e-300, 1e-16):
-            assert abs(_kernel_integral(xr, 1.5, 3.0) - ref) <= 1e-15
+    def test_points_next_to_the_wall_are_the_wall(self):
+        # no grid point is a quadrature break point, so a point within a
+        # rounding of the wall z = 0 gets the wall's factors
+        cfg = make_config(5.0, 3.0)
+        near = [6.675221575521604e-308, 1e-305, 1e-300, 1e-16]
+        grid = np.array([0.0, *near, 1.5, 3.0])
+        factor = factor_matrix(grid, cfg)
+        wall = factor[0, -2:]
+        assert abs(wall[0] - oracle_factor(0.0, 1.5, cfg)) <= 1e-12
+        assert np.max(np.abs(factor[1:-2, -2:] - wall)) <= 1e-15
+        for x in near:
+            assert abs(coherence_factor(x, 1.5, cfg) - wall[0]) <= 1e-15
 
-    def test_unconverged_quadrature_names_the_pair(self, monkeypatch):
-        # each of the two real runs reports an error estimate of 1.0
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **kw: (0.0, 1.0))
-        with pytest.raises(QuadratureError, match=r"\(x, y\) = \(7\.3, 11\.1\)") as info:
-            coherence_factor(7.3, 11.1, make_config(5.0, 20.0))
-        assert info.value.achieved == 2.0
+    def test_unconverged_quadrature_names_the_grid(self, monkeypatch):
+        # a block fails on a non-zero status or on too large an error
+        # estimate; the message names the grid, since one estimate covers
+        # every pair of the block
+        def unconverged(status, err):
+            def quad_vec(f, a, b, args, **kwargs):
+                return np.zeros(2 * args[0].size), err, SimpleNamespace(status=status)
+            return quad_vec
+
+        cfg = make_config(5.0, 20.0)
+        for status, err in ((0, 1.0), (2, 1e-12)):
+            monkeypatch.setattr(scipy.integrate, "quad_vec", unconverged(status, err))
+            with pytest.raises(QuadratureError,
+                               match=r"2-point grid over L = 20 blockade radii") as info:
+                coherence_factor(7.3, 11.1, cfg)
+            assert info.value.achieved == err
+        with pytest.raises(QuadratureError, match=r"64-point grid over L = 20 "):
+            evolve_cw(initial_sine_mode(20.0, 64), cfg)
 
 
 class TestCoherenceFactor:
@@ -144,13 +184,15 @@ class TestCoherenceFactor:
             assert abs(f) == pytest.approx(plateau, rel=1e-4)
 
     def test_swap_conjugates(self):
+        # F(x, y) of 20 random pairs from one factor matrix on all 40 points
         cfg = make_config(5.0, 20.0)
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            x, y = rng.uniform(0.0, 20.0, size=2)
-            f_xy = coherence_factor(x, y, cfg)
-            f_yx = coherence_factor(y, x, cfg)
-            assert abs(f_yx - np.conj(f_xy)) < 1e-12
+        pairs = rng.uniform(0.0, 20.0, size=(20, 2))
+        grid = np.sort(pairs.ravel())
+        factor = factor_matrix(grid, cfg)
+        for x, y in pairs:
+            i, j = np.searchsorted(grid, (x, y))
+            assert abs(coherence_factor(y, x, cfg) - np.conj(factor[i, j])) < 1e-12
 
     def test_partial_fraction_route_agrees(self):
         # (u - v)/((u + 2i)(v - 2i)) = 1/(v - 2i) - 1/(u + 2i) - 4i/((u + 2i)(v - 2i))
@@ -244,42 +286,53 @@ class TestEvolveCw:
         with pytest.raises(GridError):
             evolve_cw(rho0, cfg)
 
-    @pytest.mark.parametrize("grid, integrals", [
-        (np.linspace(0.0, 5.0, 9), 20),        # mirrored: i + j <= 8 only
-        (np.linspace(0.0, 4.6, 9) ** 1.05, 36),  # asymmetric: every pair
-    ])
-    def test_mirror_reuse_matches_every_pair(self, grid, integrals, monkeypatch):
-        # the mirrored half of the map equals direct evaluation pair by pair
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 5.0, 9),          # symmetric about L/2
+        np.linspace(0.0, 4.6, 9) ** 1.05,  # asymmetric
+    ], ids=["symmetric", "asymmetric"])
+    def test_factor_matrix_matches_every_pair(self, grid):
+        # each pair of the map, integrated alone by coherence_factor, agrees
+        # with the map's element; the lower triangle is the conjugate
         cfg = make_config(5.0, 5.0)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
         outer = np.outer(psi, psi.conj())
         rho0 = SpinWaveDensityMatrix(grid=grid, rho=0.5 * (outer + outer.conj().T))
-        calls = []
-        kernel = polsim.spinwave._kernel_integral
-        monkeypatch.setattr(polsim.spinwave, "_kernel_integral",
-                            lambda *a: calls.append(a) or kernel(*a))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PositivityWarning)
             out = evolve_cw(rho0, cfg)
-        assert len(calls) == integrals
-        expected = np.array([[coherence_factor(x, y, cfg) for y in grid] for x in grid])
+        expected = np.ones((grid.size, grid.size), dtype=complex)
+        for i, j in zip(*np.triu_indices(grid.size, 1)):
+            expected[i, j] = coherence_factor(grid[i], grid[j], cfg)
+            expected[j, i] = np.conj(expected[i, j])
         assert np.max(np.abs(out.rho - expected * rho0.rho)) <= 1e-10 * np.max(np.abs(rho0.rho))
         assert np.array_equal(out.rho, out.rho.conj().T)
 
     def test_coherence_factor_is_the_evolved_element(self):
-        # a rho0 of ones makes rho the factor matrix itself; every pair that
-        # evolve_cw integrates directly (i <= j, i + j <= N - 1 on this
-        # symmetric grid) must equal coherence_factor bit for bit
+        # coherence_factor integrates its pair alone and evolve_cw all pairs
+        # of the grid at once, so the adaptive partitions differ and the two
+        # agree to round-off, not bit for bit: EPS is the largest deviation
+        # over all 276 pairs of this grid, with or without FMA; the pairs
+        # of every fourth point are checked
         cfg = make_config(5.0, 5.0)
         grid = np.linspace(0.0, cfg.L, 24)
-        n = grid.size
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PositivityWarning)
-            factor = evolve_cw(SpinWaveDensityMatrix(grid=grid, rho=np.ones((n, n))), cfg).rho
-        differ = [(i, j) for i in range(n) for j in range(i, n - i)
-                  if coherence_factor(grid[i], grid[j], cfg) != factor[i, j]]
-        assert differ == []
+        factor = factor_matrix(grid, cfg)
+        assert np.all(np.diag(factor) == 1.0)
+        assert np.array_equal(factor, factor.conj().T)
+        sample = [*range(0, grid.size, 4), grid.size - 1]
+        worst = max(abs(coherence_factor(grid[i], grid[j], cfg) - factor[i, j])
+                    for i in sample for j in sample if i < j)
+        assert worst <= EPS
+
+    def test_pair_blocks_do_not_change_the_map(self, monkeypatch):
+        # the 66 pairs of a 12-point grid in blocks of 8, the last one
+        # partial, against one block of all 66
+        cfg = make_config(5.0, 5.0)
+        grid = np.linspace(0.0, cfg.L, 12)
+        whole = factor_matrix(grid, cfg)
+        monkeypatch.setattr(polsim.spinwave, "_PAIR_BLOCK", 8)
+        blocked = factor_matrix(grid, cfg)
+        assert np.max(np.abs(blocked - whole)) <= EPS
 
     @given(
         d_b=st.floats(min_value=0.5, max_value=20.0),
