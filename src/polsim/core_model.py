@@ -177,8 +177,10 @@ class PulseSpec:
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature weights for a strictly increasing 1-d grid."""
+    """Trapezoid quadrature weights for a finite, strictly increasing 1-d grid."""
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise GridError("grid must be finite")
     if grid.ndim != 1 or grid.size < 2:
         raise GridError("grid must be one-dimensional with at least two points")
     dx = np.diff(grid)

@@ -63,8 +63,8 @@ def switch_fidelities(d_b: float) -> SwitchFidelities:
     coherently rerouted).  The control phase rotates arg R1 only, so none
     of the three depends on it.
     """
-    if d_b < 0.0:
-        raise ValueError(f"d_b must be nonnegative, got {d_b!r}")
+    if not (d_b >= 0.0 and math.isfinite(d_b)):
+        raise ValueError(f"d_b must be nonnegative and finite, got {d_b!r}")
     if d_b == 0.0:
         return SwitchFidelities(0.0, 0.0, 0.0)
     t, r, _ = cw_bulk_coefficients(d_b)
@@ -79,8 +79,8 @@ def blockade_gate_baseline(d_b: float) -> float:
     exp(-5 pi / (4 d_b)) once the detuning is tuned for a pi shift; only
     meaningful at all for d_b above PI_PHASE_MIN_DB.
     """
-    if d_b <= 0.0:
-        raise ValueError(f"d_b must be positive, got {d_b!r}")
+    if not (d_b > 0.0 and math.isfinite(d_b)):
+        raise ValueError(f"d_b must be positive and finite, got {d_b!r}")
     return math.exp(-5.0 * math.pi / (4.0 * d_b))
 
 

@@ -448,8 +448,8 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     scalar or an array; the results match its shape.
     """
     d_b = np.asarray(d_b, dtype=float)
-    if np.any(d_b <= 0.0):
-        raise ValueError("d_b must be positive")
+    if not np.all((d_b > 0.0) & np.isfinite(d_b)):
+        raise ValueError("d_b must be positive and finite")
     return _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, phi)
 
 

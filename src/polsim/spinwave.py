@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core_model import PhysicalConfig, derive_scales, trapezoid_weights
 from .errors import GridError, PositivityWarning, QuadratureError
 from .propagation import _cw_coefficients
-from .susceptibility import nu
+from .susceptibility import _sixth_power, nu
 
 __all__ = [
     "SpinWaveDensityMatrix",
@@ -53,18 +54,16 @@ class SpinWaveDensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        # trapezoid_weights rejects a grid that is not 1-d, finite and
+        # strictly increasing with at least two points
+        n = self.weights.size
         rho = np.asarray(self.rho, dtype=complex)
-        if grid.ndim != 1 or grid.size < 2:
-            raise GridError("position grid must be 1-d with at least two samples")
-        if rho.shape != (grid.size, grid.size):
-            raise GridError(
-                f"density matrix shape {rho.shape} does not match grid size {grid.size}"
-            )
-        object.__setattr__(self, "grid", grid)
+        if rho.shape != (n, n):
+            raise GridError(f"density matrix shape {rho.shape} does not match grid size {n}")
         object.__setattr__(self, "rho", rho)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         return trapezoid_weights(self.grid)
 
@@ -95,8 +94,8 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
     """
     if N < 64:
         raise GridError(f"need at least 64 samples to resolve the mode, got {N}")
-    if not L > 0.0:
-        raise ValueError(f"medium length must be positive, got {L!r}")
+    if not (L > 0.0 and np.isfinite(L)):
+        raise ValueError(f"medium length must be positive and finite, got {L!r}")
     grid = np.linspace(0.0, L, N)
     psi = np.sin(np.pi * grid / L).astype(complex)
     w = trapezoid_weights(grid)
@@ -104,32 +103,19 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
     return SpinWaveDensityMatrix(grid=grid, rho=np.outer(psi, psi.conj()))
 
 
-def _kernel_real(z, xr, yr):
-    """Real part of (u - v)/((u + 2i)(v - 2i)), u = (z - x)**6, v = (z - y)**6."""
-    s = z - xr
-    t = z - yr
-    s2 = s * s
-    t2 = t * t
-    u = s2 * s2 * s2
-    v = t2 * t2 * t2
-    return (u - v) * (u * v + 4.0) / ((u * u + 4.0) * (v * v + 4.0))
-
-
-def _kernel_imag(z, xr, yr):
-    """Imaginary part of (u - v)/((u + 2i)(v - 2i)): 2 (u - v)**2 / |den|**2."""
-    s = z - xr
-    t = z - yr
-    s2 = s * s
-    t2 = t * t
-    u = s2 * s2 * s2
-    v = t2 * t2 * t2
-    d = u - v
-    return 2.0 * d * d / ((u * u + 4.0) * (v * v + 4.0))
-
-
 def _kernel_parts(z, xr, yr):
-    """Real parts, then imaginary parts, of the kernel at z for pair arrays."""
-    return np.concatenate((_kernel_real(z, xr, yr), _kernel_imag(z, xr, yr)))
+    """Real parts, then imaginary parts, of the kernel at z for pair arrays.
+
+    The kernel is (u - v)/((u + 2i)(v - 2i)) with u = (z - x)**6 and
+    v = (z - y)**6, split over |den|**2 = (u**2 + 4)(v**2 + 4) into the
+    real part (u - v)(uv + 4)/|den|**2 and the imaginary part
+    2 (u - v)**2/|den|**2.  Each sixth power is formed once per node.
+    """
+    u = _sixth_power(z - xr)
+    v = _sixth_power(z - yr)
+    d = u - v
+    den = (u * u + 4.0) * (v * v + 4.0)
+    return np.concatenate((d * (u * v + 4.0) / den, 2.0 * d * d / den))
 
 
 def _factor_matrix(grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
@@ -197,7 +183,8 @@ def evolve_cw(rho0: SpinWaveDensityMatrix, config: PhysicalConfig) -> SpinWaveDe
     """Apply the CW scattering map element-wise to an initial density matrix.
 
     Multiplies rho0 by the coherence factor of every grid pair, leaving the
-    diagonal untouched.  The grid must lie within [0, L] of ``config``.
+    diagonal untouched.  ``rho0``'s grid, checked finite and strictly
+    increasing when it was built, must lie within [0, L] of ``config``.
     Raises QuadratureError naming the grid size and the medium length if a
     block of the kernel quadrature fails to converge, and emits a
     PositivityWarning if discretization pushes the result out of the PSD
@@ -228,8 +215,9 @@ def blockade_loss_baseline(d_b):
     ``d_b`` may be a scalar or an array; the result matches its shape.
     """
     d_b = np.asarray(d_b, dtype=float)
-    if np.any(d_b < 0.0):
-        raise ValueError(f"d_b must be nonnegative, got {float(d_b.min())!r}")
+    bad = ~((d_b >= 0.0) & np.isfinite(d_b))
+    if np.any(bad):
+        raise ValueError(f"d_b must be nonnegative and finite, got {float(d_b[bad][0])!r}")
     loss = -np.expm1(-4.0 * d_b)
     return float(loss) if loss.ndim == 0 else loss
 

@@ -146,6 +146,11 @@ class TestTrapezoidWeights:
         with pytest.raises(GridError):
             trapezoid_weights(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(GridError, match="finite"):
+            trapezoid_weights(np.array([0.0, bad, 1.0]))
+
 
 class TestGaussianPulseSpectrum:
     # Oracle: for intensity FWHM tau the amplitude spectrum is a Gaussian
@@ -179,3 +184,7 @@ class TestGaussianPulseSpectrum:
             gaussian_pulse_spectrum(0.0, grid)
         with pytest.raises(GridError):
             gaussian_pulse_spectrum(1.0, grid[::-1])
+
+    def test_rejects_nan_grid(self):
+        with pytest.raises(GridError, match="finite"):
+            gaussian_pulse_spectrum(1.0, np.array([-1.0, np.nan, 1.0]))

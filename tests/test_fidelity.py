@@ -62,6 +62,11 @@ class TestSwitchFidelities:
         with pytest.raises(ValueError):
             switch_fidelities(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            switch_fidelities(bad)
+
     def test_phase_independence(self):
         # the control phase rotates arg R1 only: |t|, |r| and A do not move
         for d_b in (0.7, 5.0, 12.0):
@@ -91,6 +96,11 @@ class TestBlockadeGateBaseline:
         with pytest.raises(ValueError):
             blockade_gate_baseline(0.0)
         assert PI_PHASE_MIN_DB == 6.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            blockade_gate_baseline(bad)
 
     def test_router_beats_baseline_at_moderate_depth(self):
         for d_b in np.linspace(1.0, 10.0, 19):

@@ -948,6 +948,13 @@ class TestBulkCoefficients:
         with pytest.raises(ValueError):
             cw_bulk_coefficients(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cw_bulk_coefficients(bad)
+        with pytest.raises(ValueError, match="finite"):
+            cw_bulk_coefficients(np.array([1.0, bad]))
+
 
 class TestT0Spectrum:
     def test_resonance_is_exactly_transparent(self):

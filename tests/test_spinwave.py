@@ -27,8 +27,7 @@ from polsim.errors import GridError, PositivityWarning, QuadratureError
 from polsim.propagation import cw_bulk_coefficients
 from polsim.spinwave import (
     SpinWaveDensityMatrix,
-    _kernel_imag,
-    _kernel_real,
+    _kernel_parts,
     blockade_loss_baseline,
     coherence_factor,
     evolve_cw,
@@ -87,6 +86,19 @@ class TestInitialSineMode:
         with pytest.raises(GridError):
             SpinWaveDensityMatrix(grid=np.linspace(0, 1, 4), rho=np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_length_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            initial_sine_mode(bad, 64)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [1.0, 0.5, 2.0]],
+                             ids=["nan", "unsorted"])
+    def test_bad_grid_fails_at_construction(self, grid):
+        # trapezoid_weights checks every density matrix's grid, so evolve_cw
+        # never starts its quadrature on one
+        with pytest.raises(GridError):
+            SpinWaveDensityMatrix(grid=np.array(grid), rho=np.eye(3))
+
 
 def oracle_factor(x, y, cfg):
     """F(x, y) from 1/(1 + nu) and one complex quad run of the kernel."""
@@ -119,8 +131,9 @@ class TestKernelIntegral:
         u = _sixth_power(z - x)
         v = _sixth_power(z - y)
         ref = (u - v) / ((u + 2j) * (v - 2j))
-        assert np.all(np.abs(_kernel_real(z, x, y) - ref.real) <= 4 * EPS * np.abs(ref))
-        assert np.all(np.abs(_kernel_imag(z, x, y) - ref.imag) <= 4 * EPS * np.abs(ref))
+        real, imag = np.split(_kernel_parts(z, x, y), 2)
+        assert np.all(np.abs(real - ref.real) <= 4 * EPS * np.abs(ref))
+        assert np.all(np.abs(imag - ref.imag) <= 4 * EPS * np.abs(ref))
 
     def test_matches_one_complex_quad_run(self):
         rng = np.random.default_rng(41)
@@ -382,6 +395,13 @@ class TestBlockadeLossBaseline:
             blockade_loss_baseline(-0.5)
         with pytest.raises(ValueError):
             blockade_loss_baseline(np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            blockade_loss_baseline(bad)
+        with pytest.raises(ValueError, match="finite"):
+            blockade_loss_baseline(np.array([1.0, bad]))
 
 
 class TestRetrievalEta:
