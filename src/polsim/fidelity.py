@@ -140,8 +140,8 @@ def transistor_fidelity(d_b: float, config: PhysicalConfig) -> float:
     estimate on 64 samples, 2.5e-8 off the 256-sample estimate at d_b = 5,
     L = 5 blockade radii).
     """
-    if d_b <= 0.0:
-        raise ValueError(f"d_b must be positive, got {d_b!r}")
+    if not (d_b > 0.0 and math.isfinite(d_b)):
+        raise ValueError(f"d_b must be positive and finite, got {d_b!r}")
     return fidelity_report(_config_at_db(d_b, config)).f_transistor
 
 

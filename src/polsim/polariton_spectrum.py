@@ -129,6 +129,10 @@ def default_k_grid(config: PhysicalConfig, kmax_labs: float = 2.0, n: int = 401)
 def _validate_k_grid(k_grid: np.ndarray) -> int:
     if k_grid.ndim != 1 or k_grid.size < 3:
         raise GridError("k_grid must be one-dimensional with at least three points")
+    bad = np.flatnonzero(~np.isfinite(k_grid))
+    if bad.size:
+        i = int(bad[0])
+        raise GridError(f"k_grid must be finite, got {float(k_grid[i])!r} at index {i}")
     if np.any(np.diff(k_grid) <= 0.0):
         raise GridError("k_grid must be strictly increasing")
     kmax = float(np.max(np.abs(k_grid)))

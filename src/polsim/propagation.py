@@ -11,21 +11,23 @@ The integrator works on the dimensionless coordinate zeta = z / z_b in
 which the rescaled susceptibilities are per-unit-length.  Fields of 2x2
 matrices are held as four component arrays, so every matrix product is
 elementwise arithmetic over the steps.  Each step is the exact exponential
-of its fourth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)), whose error depends on how the coefficients vary along
-the step, not on their size, so deep media need no finer steps.  A 2x2
-exponential is e^m [cosh s + sinh(s)/s (Omega - m)], and cosh s and
-sinh(s)/s are entire functions of q = s**2: where |q| <= 1/4 (every step of
-a typical solve) they are short power series in q, and only wider steps
-take cosh and sinh of s = sqrt(q).  The base
-grid is uniform; up to four halvings follow, and the finer grid of the
-first pair that agrees is accepted.  One loop treats every halving alike:
-it builds the finer grid's steps and their pair products, and one stacked
-tree product reduces those pairs together with the coarser grid's steps,
-carried from the pass before, giving both fundamental matrices.  One
-coefficient evaluation serves the first halving's nodes and midpoints,
-which hold the base grid's, and each further halving evaluates only its
-new midpoints.  Every scattering quantity is then a ratio of products,
+of its sixth-order Magnus exponent, built from the coefficients at the
+step's three Gauss-Legendre points (Blanes, Casas & Ros, BIT 40, 434
+(2000); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  Its error
+depends on how the coefficients vary along the step, not on their size,
+so deep media need no finer steps.  A 2x2 exponential is
+e^m [cosh s + sinh(s)/s (Omega - m)], and cosh s and sinh(s)/s are entire
+functions of q = s**2: where |q| <= 1/4 (every step of a typical solve)
+they are short power series in q, and only wider steps take cosh and sinh
+of s = sqrt(q).  The base grid is uniform; up to six halvings follow, and
+the finer grid of the first pair that agrees is accepted.  The Gauss
+points of a grid and of its halving do not nest, so the base grid and its
+first halving are built together: one coefficient evaluation on both
+grids' points, one step build, and one stacked tree product of the base
+steps with the first halving's pair products gives both fundamental
+matrices.  Each further halving evaluates only its own points and reduces
+its pair products together with the coarser grid's steps, carried from the
+pass before.  Every scattering quantity is then a ratio of products,
 so none comes from a cancelling sum however deep the medium:
 with Phi the accepted fundamental matrix, R = -Phi10 / Phi11 and
 T = det Phi / Phi11, where det Phi is the exponential of the summed step
@@ -77,10 +79,14 @@ __all__ = [
 # steps of _STEP blockade radii.  A solve is accepted once halving every step
 # changes the fundamental matrix by less than _RICHARDSON_TOL (relative
 # Frobenius), with at most _MAX_REFINEMENTS halvings.  The accepted grid is
-# the finer one of the passing pair: 200 to 1600 steps per blockade radius.
-_STEP = 1.0 / 100.0
+# the finer one of the passing pair: 40 to 1280 steps per blockade radius.
+_STEP = 1.0 / 20.0
 _RICHARDSON_TOL = 1e-8
-_MAX_REFINEMENTS = 4
+_MAX_REFINEMENTS = 6
+
+# Gauss-Legendre points of a step, as fractions of its width: 1/2 -+ sqrt(15)/10
+# and 1/2, the nodes of the sixth-order Magnus exponent in ``_magnus_steps``
+_GAUSS_POINTS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 # Step exponentials: cosh s and sinh(s)/s are summed as Taylor series in
 # q = s**2 wherever |q| <= _SERIES_MAX_Q.  Row k of _SERIES_COEFFS holds
@@ -112,8 +118,11 @@ class ScatterResult:
     ``transmission`` is E_right(L), ``reflection`` is E_left(0) and
     ``absorption`` the power unaccounted for by either.  ``refinements``
     counts the step halvings of the accepted grid (1 to ``_MAX_REFINEMENTS``
-    for a numerical solve) and ``segments`` is 1 for a numerical solve; both
-    are 0 for closed-form results.  ``field`` is built by ``_build_field``
+    for a numerical solve: the field sits on the base grid of ``_STEP``
+    halved that many times) and ``richardson_error`` is the relative change
+    of the fundamental matrix at the last halving; ``segments`` is 1 for a
+    numerical solve.  All three are 0 for closed-form results, whose field
+    sits on the grid of one halving.  ``field`` is built by ``_build_field``
     on first read and kept, so a caller that needs only the coefficients
     never pays for it.
     """
@@ -165,10 +174,12 @@ def _build_nodes(length_zb: float) -> np.ndarray:
     return np.linspace(0.0, length_zb, max(1, math.ceil(length_zb / _STEP)) + 1)
 
 
-def _level_one_nodes(length_zb: float) -> np.ndarray:
-    """The base nodes interleaved with their step midpoints: the grid of level 1."""
-    nodes = _build_nodes(length_zb)
-    return _interleave(nodes, 0.5 * (nodes[:-1] + nodes[1:]))
+def _halved(nodes):
+    """``nodes`` with the midpoint of every step between them: the next level's grid."""
+    out = np.empty(2 * nodes.size - 1)
+    out[0::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return out
 
 
 def _mul(p, q):
@@ -185,31 +196,29 @@ def _mul(p, q):
     return out.reshape(p.shape)
 
 
-def _interleave(nodes, mid):
-    """Nodes (last axis) with the step midpoints between them."""
-    out = np.empty(nodes.shape[:-1] + (2 * nodes.shape[-1] - 1,), dtype=nodes.dtype)
-    out[..., 0::2] = nodes
-    out[..., 1::2] = mid
-    return out
-
-
-def _magnus_steps(nodes_zb, a_nodes, a_mid):
+def _magnus_steps(h, a1, a2, a3):
     """Step matrices exp(Omega) as a component stack, and their traces tr Omega.
 
     The ODE integrated is d psi / d zeta = A psi with A = -1j M, sampled at
-    the nodes (``a_nodes``) and the step midpoints (``a_mid``).  Each step's
-    fourth-order Magnus exponent is
-    Omega = h/6 (A_a + 4 A_m + A_b) - h**2/12 [A_m, A_b - A_a], and its
-    exponential is e^m [cosh s + sinh(s)/s (Omega - m)] with m, d and
-    q = s**2 from ``_invariants``.  Both functions of s are taken as series
-    in q where |q| <= ``_SERIES_MAX_Q``, so no root is needed and a
-    nilpotent step (q = 0) is no special case.
+    the three Gauss-Legendre points ``_GAUSS_POINTS`` of each step of width
+    ``h`` (``a1``, ``a2``, ``a3``).  Each step's sixth-order Magnus exponent
+    (Blanes, Casas & Ros, BIT 40, 434 (2000)) is
+    Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240
+    with alpha1 = h A2, alpha2 = sqrt(15) h/3 (A3 - A1),
+    alpha3 = 10 h/3 (A3 - 2 A2 + A1), C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1]/60, and its exponential is
+    e^m [cosh s + sinh(s)/s (Omega - m)] with m, d and q = s**2 from
+    ``_invariants``.  Both functions of s are taken as series in q where
+    |q| <= ``_SERIES_MAX_Q``, so no root is needed and a nilpotent step
+    (q = 0) is no special case.
     """
-    h = np.diff(nodes_zb)
-    a_a = a_nodes[:, :-1]
-    a_b = a_nodes[:, 1:]
-    exponent = (h / 6.0) * (a_a + 4.0 * a_mid + a_b)
-    exponent -= (h * h / 12.0) * _commutator(a_mid, a_b - a_a)
+    alpha1 = h * a2
+    alpha2 = (math.sqrt(15.0) / 3.0 * h) * (a3 - a1)
+    alpha3 = (10.0 / 3.0 * h) * (a3 - 2.0 * a2 + a1)
+    c1 = _commutator(alpha1, alpha2)
+    c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
+    exponent = alpha1 + alpha3 / 12.0
+    exponent += _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
     m, d, q, _ = _invariants(*exponent)
     abs_q = np.abs(q)
     q_max = float(np.max(abs_q))
@@ -302,28 +311,31 @@ def solve_bvp(omega, x, config):
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
     scales = derive_scales(config)
 
-    def coefficients(points):
+    def level_steps(*grids):
+        # the steps between each grid's nodes from one coefficient evaluation
+        # on their Gauss points, in grid order
+        h = np.concatenate([np.diff(g) for g in grids])
+        left = np.concatenate([g[:-1] for g in grids])
+        points = left + _GAUSS_POINTS[:, None] * h
         # -1j M as a C-ordered component stack, one evaluation per point
-        m = propagation_matrix(points * scales.z_b, x, omega, config)
-        return np.multiply(-1j, m.reshape(-1, 4).T, order="C")
+        m = propagation_matrix(points.ravel() * scales.z_b, x, omega, config)
+        a = np.multiply(-1j, m.reshape(-1, 4).T, order="C").reshape(4, 3, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _magnus_steps(h, a[:, 0], a[:, 1], a[:, 2])
 
-    # each level's nodes are the previous level's nodes and step midpoints,
-    # so one evaluation on level 1's nodes and midpoints also serves level
-    # 0, and each further level evaluates only its new midpoints
-    nodes = _level_one_nodes(config.L / scales.z_b)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    a = coefficients(_interleave(nodes, mid))
-    a_nodes, a_mid = a[:, 0::2], a[:, 1::2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse, _ = _magnus_steps(nodes[0::2], a_nodes[:, 0::2], a_nodes[:, 1::2])
+    # the Gauss points of two grids do not nest, so levels 0 and 1 share one
+    # evaluation and one step build, and each further level builds its own
+    base = _build_nodes(config.L / scales.z_b)
+    nodes = _halved(base)
+    steps, traces = level_steps(base, nodes)
+    n = base.size - 1
+    coarse, steps, traces = steps[:, :n], steps[:, n:], traces[n:]
     for level in range(1, _MAX_REFINEMENTS + 1):
         if level > 1:
-            nodes = _interleave(nodes, mid)
-            a_nodes = _interleave(a_nodes, a_mid)
-            mid = 0.5 * (nodes[:-1] + nodes[1:])
-            a_mid = coefficients(mid)
+            coarse = steps
+            nodes = _halved(nodes)
+            steps, traces = level_steps(nodes)
         with np.errstate(over="ignore", invalid="ignore"):
-            steps, traces = _magnus_steps(nodes, a_nodes, a_mid)
             # the pair products are the first round of this level's tree, so
             # one reduction of both stacks gives both fundamental matrices
             pairs = _mul(steps[:, 1::2], steps[:, 0::2])
@@ -339,7 +351,6 @@ def solve_bvp(omega, x, config):
         err = _relative_change(phis[:, 1], phis[:, 0])
         if not err > _RICHARDSON_TOL:  # a NaN change is accepted too
             break
-        coarse = steps
     else:
         raise QuadratureError(
             f"step halving stalled at relative change {err:.3g} "
@@ -403,7 +414,7 @@ def cw_analytic(x, config):
     truncates after the linear term and everything is expressed through
     the running kernel integral nu(z): R = e^{-i phi} nu(L) / (1 + nu(L)).
     The field is built on first read, on the nodes ``solve_bvp`` accepts
-    after one halving (200 steps per blockade radius).
+    after one halving (40 steps per blockade radius).
     """
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
@@ -426,10 +437,10 @@ def _cw_field(x, config, scales, nu_total, r, t):
     """Closed-form cw field with end rows (1, r) and (t, 0), as in ``_field``.
 
     E_right = (1 + nu(L) - nu(z)) / (1 + nu(L)) and
-    E_left = e^{-i phi} (nu(L) - nu(z)) / (1 + nu(L)), on the base nodes
-    interleaved with their midpoints: the grid of ``solve_bvp`` at level 1.
+    E_left = e^{-i phi} (nu(L) - nu(z)) / (1 + nu(L)), on the base grid
+    halved once: the grid of ``solve_bvp`` at level 1.
     """
-    z = _level_one_nodes(config.L / scales.z_b) * scales.z_b
+    z = _halved(_build_nodes(config.L / scales.z_b)) * scales.z_b
     rest = nu_total - nu(z[1:-1], x, scales)
     denom = 1.0 + nu_total
     psi = np.empty((z.size, 2), dtype=np.complex128)

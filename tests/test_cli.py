@@ -234,17 +234,17 @@ class TestPropagateTask:
     @pytest.mark.parametrize(
         "physical, omega, refinements, rows",
         [
-            (PHYSICAL, 0.0, 0, 4801),
-            (PHYSICAL, 0.45, 1, 4801),
+            (PHYSICAL, 0.0, 0, 961),
+            (PHYSICAL, 0.45, 1, 961),
             # a short medium above the transparency window halves three times
-            (dict(PHYSICAL, G=math.sqrt(20.0), L=2.0, x_gate=1.0), 1.0, 3, 1601),
+            (dict(PHYSICAL, G=math.sqrt(20.0), L=2.0, x_gate=1.0), 1.0, 3, 321),
         ],
-        ids=["0.0-0-4801", "0.45-1-4801", "1.0-3-1601"],
+        ids=["0.0-0-961", "0.45-1-961", "1.0-3-321"],
     )
     def test_one_row_per_node_of_the_accepted_grid(
         self, tmp_path, physical, omega, refinements, rows
     ):
-        # L z_b at 100 * 2**k steps per radius after k refinements; the
+        # L z_b at 20 * 2**k steps per radius after k refinements; the
         # closed form at omega = 0 writes the grid of one refinement
         cfg = write_config(
             tmp_path, physical=physical, task="propagate",
@@ -259,8 +259,11 @@ class TestPropagateTask:
             assert manifest["richardson_error"] == 0.0
         assert len(csv_rows(tmp_path / "out" / manifest["artifacts"][0])) == 1 + rows
 
-    @pytest.mark.parametrize("omega", [0.0, 0.45])
-    def test_z_column_is_in_metres(self, tmp_path, omega):
+    # at omega = 0.45 this medium is accepted after two refinements
+    @pytest.mark.parametrize(
+        "omega, nodes", [(0.0, 961), (0.45, 1921)], ids=["0.0", "0.45"]
+    )
+    def test_z_column_is_in_metres(self, tmp_path, omega, nodes):
         # C6 = 64 makes z_b = 2, so a column scaled by z_b twice ends at 2 L
         physical = dict(PHYSICAL, C6=64.0, L=48.0, x_gate=24.0)
         cfg = write_config(
@@ -271,7 +274,7 @@ class TestPropagateTask:
         manifest = read_manifest(tmp_path / "out")
         assert manifest["derived_scales"]["z_b"] == pytest.approx(2.0, rel=1e-12)
         rows = csv_rows(tmp_path / "out" / manifest["artifacts"][0])
-        assert len(rows) == 1 + 4801
+        assert len(rows) == 1 + nodes
         assert rows[0][0] == "z (m)"
         assert float(rows[1][0]) == 0.0
         assert float(rows[-1][0]) == pytest.approx(48.0, rel=1e-12)

@@ -167,6 +167,13 @@ class TestTransistorFidelity:
         with pytest.raises(ValueError):
             transistor_fidelity(0.0, geo)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        geo = PhysicalConfig(G=1.0, Omega=1.0, OmegaS=1.0, gamma=1.0, phi=0.0,
+                             c=1.0, C6=1.0, L=5.0, x_gate=2.5)
+        with pytest.raises(ValueError, match="d_b must be positive and finite"):
+            transistor_fidelity(bad, geo)
+
 
 class TestTimingEstimates:
     def test_physical_operating_point(self):

@@ -247,6 +247,14 @@ class TestSpectrum:
         with pytest.raises(GridError):
             spectrum(np.zeros(5), "free", cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        # a NaN passes the increasing-grid test, so finiteness is checked first
+        k_grid = np.linspace(-1.0, 1.0, 5)
+        k_grid[3] = bad
+        with pytest.raises(GridError, match=rf"finite, got {bad!r} at index 3"):
+            spectrum(k_grid, "free", make_config())
+
 
 class TestComposition:
     def test_backward_dark_polariton_weights(self):
