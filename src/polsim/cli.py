@@ -1,12 +1,14 @@
 """Batch front-end: JSON experiment configs in, CSV/JSON artifacts out.
 
 Every run resolves one config file against a strict schema, computes all
-of its artifacts in memory, and only then writes them, under names carrying
-the run id, followed by ``manifest.json`` with the resolved parameters,
-derived scales, collected warnings, software versions and artifact list.
-The manifest comes last, so its presence certifies a complete run.  CSV
-bodies are deterministic for identical configs; only filenames and the
-manifest timestamp vary.
+of its numbers and JSON text in memory, and only then writes its artifacts,
+under names carrying the run id, followed by ``manifest.json`` with the
+resolved parameters, derived scales, collected warnings, software versions
+and artifact list.  CSV text is rendered block by block as it is written,
+so no artifact is ever held whole as text.  The manifest comes last, so its
+presence certifies a complete run; a write that fails for any reason
+removes what the run had written.  CSV bodies are deterministic for
+identical configs; only filenames and the manifest timestamp vary.
 """
 
 from __future__ import annotations
@@ -153,11 +155,12 @@ def _apply_override(raw: dict, assignment: str) -> None:
 # ---------------------------------------------------------------------------
 # artifact helpers
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text chunks to a temporary file as they come, then rename it to ``path``."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -167,37 +170,36 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-# rows rendered per "%" operation; bounds the temporaries of a large table
+# rows rendered per "%" operation; bounds the memory of a table's text
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_text(header: list[str], columns) -> str:
-    """CSV text of a table given as equal-length columns.
+def _csv_text(header: list[str], columns):
+    """CSV text of a table given as equal-length columns, as chunks.
 
-    A numeric array column is written with ``%.17g``, which renders each
-    value as ``format(float(v), ".17g")`` does and round-trips doubles.  Any
-    other column is a sequence of ``str`` labels, numbers (written the same
-    way) and ``None`` (an empty cell).  Each block of rows is rendered by one
-    ``%`` operation.
+    Yields the header line, then the text of each block of up to
+    ``_CSV_BLOCK_ROWS`` rows, rendered by one ``%`` operation.  A numeric
+    array column is written with ``%.17g``, which renders each value as
+    ``format(float(v), ".17g")`` does and round-trips doubles.  Any other
+    column is a sequence of ``str`` labels, numbers (written the same way)
+    and ``None`` (an empty cell).
     """
-    specs = []
-    table = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, column in enumerate(columns):
-        if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-            specs.append("%.17g")
-            table[:, j] = column.astype(float)
-        else:
-            specs.append("%s")
-            table[:, j] = [
-                "" if v is None else v if isinstance(v, str) else format(float(v), ".17g")
-                for v in column
-            ]
-    row = ",".join(specs)
-    parts = [",".join(header) + "\n"]
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        parts.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()) + "\n")
-    return "".join(parts)
+    numeric = [isinstance(c, np.ndarray) and c.dtype.kind in "biuf" for c in columns]
+    row = ",".join("%.17g" if num else "%s" for num in numeric)
+    yield ",".join(header) + "\n"
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+        block = np.empty((stop - start, len(columns)), dtype=object)
+        for j, (column, num) in enumerate(zip(columns, numeric)):
+            if num:
+                block[:, j] = column[start:stop].astype(float)
+            else:
+                block[:, j] = [
+                    "" if v is None else v if isinstance(v, str) else format(float(v), ".17g")
+                    for v in column[start:stop]
+                ]
+        yield "\n".join([row] * len(block)) % tuple(block.ravel().tolist()) + "\n"
 
 
 def _json_text(payload) -> str:
@@ -208,8 +210,11 @@ def _json_text(payload) -> str:
 def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:
     """Write each artifact ``stem.ext`` as ``stem_<run_id>.ext``, then the manifest.
 
-    A failed write removes what this call published or created, so no partial
-    set survives, and is raised as a SchemaError (unusable output directory).
+    Each artifact is an iterable of text chunks, written as they come.  A
+    write that fails for any reason, a chunk that raises included, removes
+    what this call published or created, so no partial set survives.  An
+    OSError is raised as a SchemaError (unusable output directory); any
+    other exception propagates unchanged.
     """
     names = []
     for name in artifacts:
@@ -220,22 +225,24 @@ def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:
     published = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in zip(names, artifacts.values()):
-            _atomic_write(outdir / name, text)
+        for name, chunks in zip(names, artifacts.values()):
+            _atomic_write(outdir / name, chunks)
             published.append(outdir / name)
-        _atomic_write(outdir / "manifest.json", manifest_text)
-    except OSError as exc:
+        _atomic_write(outdir / "manifest.json", [manifest_text])
+    except BaseException as exc:
         for path in published:
             path.unlink(missing_ok=True)
         for path in created:  # innermost first; a directory in use stays
             with contextlib.suppress(OSError):
                 path.rmdir()
-        raise SchemaError(f"cannot write output directory {outdir}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise SchemaError(f"cannot write output directory {outdir}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
-# task implementations; each returns ({artifact name: text}, manifest_extras)
-# and touches no file
+# task implementations; each returns ({artifact name: text chunks},
+# manifest_extras) and touches no file
 
 def _run_spectrum(cfg, scales, params):
     regime = params["regime"]
@@ -359,7 +366,7 @@ def _run_spinwave(cfg, scales, params):
     artifacts = {
         "spinwave_re.csv": matrix_csv(evolved.rho.real),
         "spinwave_im.csv": matrix_csv(evolved.rho.imag),
-        "spinwave_summary.json": _json_text(summary),
+        "spinwave_summary.json": [_json_text(summary)],
     }
     return artifacts, {"spinwave_summary": summary}
 
@@ -398,7 +405,7 @@ def _run_fidelity(cfg, scales, params):
     payload["f_pulse"] = {format(k, ".17g"): v for k, v in report.f_pulse.items()}
     artifacts = {
         "fidelity.csv": _csv_text(header, columns),
-        "fidelity_report.json": _json_text(payload),
+        "fidelity_report.json": [_json_text(payload)],
     }
     if durations:
         artifacts["fidelity_pulse.csv"] = _csv_text(

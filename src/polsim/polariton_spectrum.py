@@ -144,6 +144,31 @@ def _validate_k_grid(k_grid: np.ndarray) -> int:
     return i0
 
 
+def _assignment(overlap: np.ndarray):
+    """Per step, the permutation with the largest summed overlap.
+
+    ``overlap`` has shape (n_steps, dim, dim); ``moves[s, a]`` is the column
+    taken by row ``a`` at step ``s``, ``ambiguous[s]`` whether some row's
+    two largest overlaps lie within ``_AMBIGUITY_TOL``.  Where the row
+    maxima sit in distinct columns and no row is ambiguous, taking them
+    reaches the bound sum of row maxima, which every other permutation
+    misses by at least ``_AMBIGUITY_TOL``, so it is the argmax.  Only the
+    remaining steps score all dim! permutations (720 in the free regime);
+    a tie there goes to the first permutation in lexicographic order.
+    """
+    dim = overlap.shape[-1]
+    top = np.sort(overlap, axis=2)
+    ambiguous = np.any(top[..., -1] - top[..., -2] < _AMBIGUITY_TOL, axis=1)
+    moves = np.argmax(overlap, axis=2)
+    hard = ambiguous | np.any(np.sort(moves, axis=1) != np.arange(dim), axis=1)
+    if np.any(hard):
+        perms = np.array(list(itertools.permutations(range(dim))))
+        rest = overlap[hard]
+        score = sum(rest[:, a, perms[:, a]] for a in range(dim))
+        moves[hard] = perms[np.argmax(score, axis=1)]
+    return moves, ambiguous
+
+
 def spectrum(
     k_grid: np.ndarray,
     regime: str,
@@ -155,7 +180,7 @@ def spectrum(
     which swaps branches at crossings.  Each step from a grid point to its
     outward neighbour scores the overlaps |<previous|next>| of their unit
     eigenvectors and takes the assignment with the largest summed overlap,
-    found exactly by scoring all dim! permutations (720 in the free regime).
+    found exactly (see ``_assignment``).
     Near-ties between overlaps are reported as warnings carrying the
     offending momentum, the k > 0 side first, each side from k = 0 outward.
     """
@@ -170,11 +195,7 @@ def spectrum(
     cur = np.r_[i0 + 1 : n_k, i0 - 1 : -1 : -1]
     prev = cur - np.sign(cur - i0)
     overlap = np.abs(vecs[prev].conj().transpose(0, 2, 1) @ vecs[cur])
-    perms = np.array(list(itertools.permutations(range(dim))))
-    score = sum(overlap[:, a, perms[:, a]] for a in range(dim))
-    moves = perms[np.argmax(score, axis=1)]
-    top = np.sort(overlap, axis=2)
-    ambiguous = np.any(top[..., -1] - top[..., -2] < _AMBIGUITY_TOL, axis=1)
+    moves, ambiguous = _assignment(overlap)
 
     # order[i, b] is the eigenvalue index of branch b at grid point i
     order = np.empty((n_k, dim), dtype=int)

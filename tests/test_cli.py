@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import platform
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -95,9 +96,24 @@ class TestCsvText:
         columns = [floats, ids, labels, list(labels), maybe, rng.uniform(size=n)]
         header = ["f (x)", "id", "kind", "kind again", "masked", "u"]
         rows = list(zip(*(list(c) for c in columns)))
-        assert polsim.cli._csv_text(header, columns) == per_cell_csv(header, rows)
+        text = "".join(polsim.cli._csv_text(header, columns))
+        assert text == per_cell_csv(header, rows)
         empty = [np.zeros(0), []]
-        assert polsim.cli._csv_text(["a", "b"], empty) == per_cell_csv(["a", "b"], [])
+        assert "".join(polsim.cli._csv_text(["a", "b"], empty)) == per_cell_csv(["a", "b"], [])
+
+    def test_memory_does_not_grow_with_the_row_count(self):
+        # 100000 rows of 8 doubles are 15 MB of text; one block of rows is
+        # held at a time (the whole table as objects and text peaks at 55 MB)
+        columns = list(np.random.default_rng(3).standard_normal((8, 100_000)))
+        header = [f"c{j}" for j in range(8)]
+        tracemalloc.start()
+        try:
+            size = sum(map(len, polsim.cli._csv_text(header, columns)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 15e6
+        assert peak < 8e6
 
 
 class TestCwTask:
@@ -659,6 +675,38 @@ class TestSchemaAndExitCodes:
         cfg = cw_config(tmp_path)
         assert main(["cw", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("mid_file", [False, True])
+    def test_any_failed_write_removes_the_partial_set(self, tmp_path, monkeypatch, mid_file):
+        # the second artifact's write fails with a non-OSError, at its start
+        # or after its header line: the error propagates as it is, and the
+        # first artifact, the second's temporary file and the directories
+        # the run created are all gone
+        write = polsim.cli._atomic_write
+        calls = itertools.count()
+
+        def breaks_second(path, chunks):
+            if next(calls) != 1:
+                return write(path, chunks)
+            if not mid_file:
+                raise RuntimeError("write failed")
+
+            def broken(chunks=iter(chunks)):
+                yield next(chunks)
+                raise RuntimeError("write failed")
+
+            write(path, broken())
+
+        monkeypatch.setattr(polsim.cli, "_atomic_write", breaks_second)
+        out = tmp_path / "new" / "out"
+        cfg = write_config(
+            tmp_path, physical=dict(PHYSICAL, L=2.0, x_gate=1.0), task="spinwave",
+            task_params={"n_samples": 64},
+        )
+        with pytest.raises(RuntimeError, match="write failed"):
+            main(["spinwave", "--config", str(cfg), "--out", str(out)])
+        assert next(calls) == 2  # the manifest was never reached
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_set_overrides(self, tmp_path):
         cfg = cw_config(tmp_path)

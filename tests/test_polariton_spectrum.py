@@ -6,6 +6,8 @@ recursion (traces only, no eigensolver) and rooted with numpy's polynomial
 companion solve.
 """
 
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from polsim.core_model import PhysicalConfig, derive_scales
 from polsim.errors import FitWindowError, FitWindowWarning, GridError
 from polsim.polariton_spectrum import (
+    _assignment,
     build_bloch_matrix,
     composition,
     dark_polariton_vectors,
@@ -67,6 +70,17 @@ def sequential_tracker(k_grid, regime, cfg):
         row, col = linear_sum_assignment(-overlap)
         order[i, row] = col
     return np.take_along_axis(vals, order, axis=1) / cfg.gamma
+
+
+def exhaustive_moves(overlap):
+    """Per step, the first permutation in lexicographic order with the
+    largest summed overlap, scored one permutation at a time."""
+    dim = overlap.shape[-1]
+    perms = list(itertools.permutations(range(dim)))
+    return np.array([
+        max(perms, key=lambda p: sum(step[a, p[a]] for a in range(dim)))
+        for step in overlap
+    ])
 
 
 def assert_same_multiset(a, b, tol):
@@ -226,6 +240,53 @@ class TestSpectrum:
                 assert np.array_equal(tracked, sequential_tracker(grid, regime, cfg))
                 compared += 1
         assert compared >= 90  # 98 of the 120 runs raise no warning
+
+    @pytest.mark.parametrize("dim", [3, 5, 6])
+    def test_assignment_matches_exhaustive_argmax(self, dim):
+        rng = np.random.default_rng(dim)
+        n = 40
+        random = rng.uniform(size=(n, dim, dim))
+        # near-permutations: a permuted identity under noise of random size;
+        # in every fourth step one row's runner-up sits 5e-7 below its
+        # maximum, an ambiguous step
+        perms = np.array([rng.permutation(dim) for _ in range(n)])
+        near = np.eye(dim)[perms] + rng.uniform(size=(n, 1, 1)) ** 4 * rng.uniform(
+            size=(n, dim, dim)
+        )
+        steps = np.arange(0, n, 4)
+        near[steps, 0, perms[steps, 1]] = near[steps, 0, perms[steps, 0]] - 5e-7
+        # two rows share their argmax column, so the row maxima are no
+        # permutation and the runner-up of one row decides
+        shared = rng.uniform(0.0, 0.5, size=(n, dim, dim))
+        shared[:, 0, 0] = shared[:, 1, 0] = 1.0
+        shared[:, 1, 1] = rng.uniform(0.5, 1.0, size=n)
+        # exact ties between whole permutations: dyadic entries sum exactly
+        ties = rng.integers(0, 3, size=(n, dim, dim)) / 4.0
+        ties[:5] = 0.5
+        for overlap in (random, near, shared, ties):
+            moves, ambiguous = _assignment(overlap)
+            assert np.array_equal(moves, exhaustive_moves(overlap))
+            top = np.sort(overlap, axis=2)
+            assert np.array_equal(
+                ambiguous, np.any(top[..., -1] - top[..., -2] < 1e-6, axis=1)
+            )
+        assert ambiguous[:5].all()
+
+    def test_memory_does_not_grow_with_the_permutation_count(self):
+        # every step of this grid is certain (row maxima in distinct columns,
+        # none ambiguous), so none scores the 720 permutations of the free
+        # regime (scoring them on every step peaks at 24 MB here)
+        cfg = make_config()
+        grid = default_k_grid(cfg, 2.0, 2001)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spectrum(grid, "free", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_ambiguous_overlaps_warn_outward_from_zero(self):
         cfg = make_config(G=0.5, Omega=0.5, OmegaS=1.0)
