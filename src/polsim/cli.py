@@ -21,7 +21,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -156,17 +155,20 @@ def _apply_override(raw: dict, assignment: str) -> None:
 # artifact helpers
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the text chunks to a temporary file as they come, then rename it to ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write the text chunks to a temporary file as they come, then rename it to ``path``.
+
+    The temporary file is created as ``open(path, "w")`` would create
+    ``path``, so the artifact gets that mode under the process umask.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise
 
 

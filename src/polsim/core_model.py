@@ -77,11 +77,8 @@ class PhysicalConfig:
 
     def __post_init__(self):
         for name in ("G", "Omega", "OmegaS", "gamma", "c", "C6", "L"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be a finite number, got {self.phi!r}")
+            _check_values(name, getattr(self, name), "positive")
+        _check_values("phi", self.phi)
         if not (0.0 <= self.x_gate <= self.L):
             raise ValueError(
                 f"x_gate must lie inside the medium [0, {self.L}], got {self.x_gate!r}"
@@ -178,14 +175,8 @@ class PulseSpec:
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights for a finite, strictly increasing 1-d grid."""
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise GridError("grid must be finite")
-    if grid.ndim != 1 or grid.size < 2:
-        raise GridError("grid must be one-dimensional with at least two points")
+    grid = _check_grid("grid", grid, min_size=2, increasing=True)
     dx = np.diff(grid)
-    if np.any(dx <= 0.0):
-        raise GridError("grid must be strictly increasing")
     w = np.zeros_like(grid)
     w[:-1] += 0.5 * dx
     w[1:] += 0.5 * dx
@@ -204,8 +195,7 @@ def gaussian_pulse_spectrum(duration: float, omega_grid: np.ndarray) -> PulseSpe
     spectral support; truncation silently reduces accuracy of downstream
     overlap integrals, so tests pin the discrete moments instead.
     """
-    if not (duration > 0.0 and math.isfinite(duration)):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    _check_values("duration", duration, "positive")
     omega_grid = np.asarray(omega_grid, dtype=float)
     w = trapezoid_weights(omega_grid)
     amp = np.exp(-(omega_grid**2) * duration**2 / (8.0 * math.log(2.0)))
@@ -214,3 +204,44 @@ def gaussian_pulse_spectrum(duration: float, omega_grid: np.ndarray) -> PulseSpe
         raise GridError("pulse spectrum vanishes on the supplied grid")
     amp = amp / math.sqrt(norm)
     return PulseSpec(omega_grid=omega_grid, amplitudes=amp)
+
+
+# the sign rules of ``_check_values``, each true where an entry obeys it
+_SIGNS = {"": lambda v: True, "positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0}
+
+
+def _check_values(name: str, value, sign: str = "", error=ValueError) -> None:
+    """Raise ``error`` unless ``value``, a number or an array, is finite and obeys ``sign``.
+
+    ``sign`` is "", "positive" or "nonnegative".  A valid Python number takes
+    ``math.isfinite`` and one comparison, no numpy.
+    """
+    if isinstance(value, (int, float)) and math.isfinite(value) and _SIGNS[sign](value):
+        return
+    value = np.asarray(value, dtype=float)
+    ok = np.isfinite(value) & _SIGNS[sign](value)
+    _refuse(name, f"{sign} and finite" if sign else "finite", value, ok, error)
+
+
+def _check_grid(name: str, grid, min_size: int = 1, increasing: bool = False) -> np.ndarray:
+    """``grid`` as a float array, checked to be 1-d with ``min_size`` or more points.
+
+    Raises GridError unless every point is finite and, where ``increasing``,
+    above the one before.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_size:
+        rule = f"one-dimensional with {min_size} or more points, got shape {grid.shape}"
+        raise GridError(f"{name} must be {rule}")
+    _check_values(name, grid, error=GridError)
+    if increasing:
+        _refuse(name, "strictly increasing", grid, np.r_[True, np.diff(grid) > 0.0], GridError)
+    return grid
+
+
+def _refuse(name: str, rule: str, values: np.ndarray, ok: np.ndarray, error) -> None:
+    """Raise ``error`` naming ``rule`` and the first entry of ``values`` where ``ok`` fails."""
+    if not ok.all():
+        at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+        index = f" at index {at[0] if len(at) == 1 else at}" if at else ""
+        raise error(f"{name} must be {rule}, got {float(values[at])!r}{index}")

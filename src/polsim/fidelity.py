@@ -19,6 +19,8 @@ import numpy as np
 from .core_model import (
     PhysicalConfig,
     PulseSpec,
+    _check_grid,
+    _check_values,
     derive_scales,
     gaussian_pulse_spectrum,
 )
@@ -63,8 +65,7 @@ def switch_fidelities(d_b: float) -> SwitchFidelities:
     coherently rerouted).  The control phase rotates arg R1 only, so none
     of the three depends on it.
     """
-    if not (d_b >= 0.0 and math.isfinite(d_b)):
-        raise ValueError(f"d_b must be nonnegative and finite, got {d_b!r}")
+    _check_values("d_b", d_b, "nonnegative")
     if d_b == 0.0:
         return SwitchFidelities(0.0, 0.0, 0.0)
     t, r, _ = cw_bulk_coefficients(d_b)
@@ -79,8 +80,7 @@ def blockade_gate_baseline(d_b: float) -> float:
     exp(-5 pi / (4 d_b)) once the detuning is tuned for a pi shift; only
     meaningful at all for d_b above PI_PHASE_MIN_DB.
     """
-    if not (d_b > 0.0 and math.isfinite(d_b)):
-        raise ValueError(f"d_b must be positive and finite, got {d_b!r}")
+    _check_values("d_b", d_b, "positive")
     return math.exp(-5.0 * math.pi / (4.0 * d_b))
 
 
@@ -90,11 +90,7 @@ def reflection_spectrum(omega_grid: np.ndarray, config: PhysicalConfig) -> np.nd
     omega = 0 is evaluated through the closed CW form; finite detunings run
     the two-mode boundary-value solver with the gate at ``config.x_gate``.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or omega_grid.size == 0:
-        raise GridError("frequency grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(omega_grid)):
-        raise GridError("frequency grid must be finite")
+    omega_grid = _check_grid("omega_grid", omega_grid)
     out = np.empty(omega_grid.size, dtype=complex)
     for i, omega in enumerate(omega_grid):
         if omega == 0.0:
@@ -140,8 +136,7 @@ def transistor_fidelity(d_b: float, config: PhysicalConfig) -> float:
     estimate on 64 samples, 2.5e-8 off the 256-sample estimate at d_b = 5,
     L = 5 blockade radii).
     """
-    if not (d_b > 0.0 and math.isfinite(d_b)):
-        raise ValueError(f"d_b must be positive and finite, got {d_b!r}")
+    _check_values("d_b", d_b, "positive")
     return fidelity_report(_config_at_db(d_b, config)).f_transistor
 
 

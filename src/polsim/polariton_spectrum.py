@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import PhysicalConfig, derive_scales
+from .core_model import PhysicalConfig, _check_grid, _check_values, derive_scales
 from .errors import FitWindowError, FitWindowWarning, GridError
 
 __all__ = [
@@ -59,9 +59,8 @@ def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    _check_values("k", k)
     k = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(k)):
-        raise ValueError(f"k must be finite, got {k!r}")
 
     G, Om, OmS = config.G, config.Omega, config.OmegaS
     ck = config.c * k
@@ -127,14 +126,7 @@ def default_k_grid(config: PhysicalConfig, kmax_labs: float = 2.0, n: int = 401)
 
 
 def _validate_k_grid(k_grid: np.ndarray) -> int:
-    if k_grid.ndim != 1 or k_grid.size < 3:
-        raise GridError("k_grid must be one-dimensional with at least three points")
-    bad = np.flatnonzero(~np.isfinite(k_grid))
-    if bad.size:
-        i = int(bad[0])
-        raise GridError(f"k_grid must be finite, got {float(k_grid[i])!r} at index {i}")
-    if np.any(np.diff(k_grid) <= 0.0):
-        raise GridError("k_grid must be strictly increasing")
+    _check_grid("k_grid", k_grid, min_size=3, increasing=True)
     kmax = float(np.max(np.abs(k_grid)))
     if not np.allclose(k_grid, -k_grid[::-1], atol=1e-12 * max(kmax, 1e-300)):
         raise GridError("k_grid must be symmetric about zero")

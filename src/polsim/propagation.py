@@ -47,13 +47,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core_model import derive_scales
-from .errors import (
-    FitWindowError,
-    GridError,
-    IllConditionedError,
-    QuadratureError,
-)
+from .core_model import _check_grid, _check_values, derive_scales
+from .errors import FitWindowError, IllConditionedError, QuadratureError
 from .susceptibility import (
     NU_INFINITY,
     free_susceptibilities,
@@ -152,22 +147,14 @@ def propagation_matrix(z, x, omega, config):
     the zero-frequency scattering is ``cw_analytic``.
     """
     dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
-    m = _coefficient_matrix(*susceptibilities(dz, omega, config), config.phi)
-    return m[0] if np.ndim(z) == 0 else m
-
-
-def _coefficient_matrix(chi_r, chi_l, chi_c, phi):
-    """``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``, shape ``(..., 2, 2)``.
-
-    The three arrays share one shape.
-    """
-    ephi = cmath.exp(1j * phi)
+    chi_r, chi_l, chi_c = susceptibilities(dz, omega, config)
+    ephi = cmath.exp(1j * config.phi)
     m = np.empty(chi_r.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = chi_r
     m[..., 0, 1] = chi_c * ephi
     m[..., 1, 0] = -chi_c * ephi.conjugate()
     m[..., 1, 1] = chi_l
-    return m
+    return m[0] if np.ndim(z) == 0 else m
 
 
 def _build_nodes(length_zb: float) -> np.ndarray:
@@ -305,8 +292,7 @@ def solve_bvp(omega, x, config):
     be finite and nonzero: ``omega == 0`` raises ``SingularFrequencyError``,
     and the zero-frequency scattering is ``cw_analytic``.
     """
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
+    _check_values("omega", omega)
     if not 0.0 <= x <= config.L:
         raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
     scales = derive_scales(config)
@@ -458,9 +444,9 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     integral saturated at its infinite-medium value.  ``d_b`` may be a
     scalar or an array; the results match its shape.
     """
+    _check_values("d_b", d_b, "positive")
+    _check_values("phi", phi)
     d_b = np.asarray(d_b, dtype=float)
-    if not np.all((d_b > 0.0) & np.isfinite(d_b)):
-        raise ValueError("d_b must be positive and finite")
     return _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, phi)
 
 
@@ -525,18 +511,18 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     The medium is exactly transparent at zero frequency, which is inserted
     directly rather than taken as a limit.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or omega_grid.size == 0:
-        raise GridError("omega_grid must be a nonempty one-dimensional array")
-    if not np.all(np.isfinite(omega_grid)):
-        raise GridError("omega_grid must be finite")
+    omega_grid = _check_grid("omega_grid", omega_grid)
     scales = derive_scales(config)
     live = omega_grid != 0.0
-    a = (-1j * config.L / scales.z_b) * _coefficient_matrix(
-        *free_susceptibilities(omega_grid[live], config), config.phi
-    )
-    m, d, q, a01_a10 = _invariants(a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1])
+    # A = -1j M L by components, each input dropped once used to bound the peak memory
+    chi_r, chi_l, chi_c = free_susceptibilities(omega_grid[live], config)
+    factor = -1j * config.L / scales.z_b
+    ephi = cmath.exp(1j * config.phi)
+    a10 = factor * (-chi_c * ephi.conjugate())
+    m, d, q, a01_a10 = _invariants(factor * chi_r, factor * (chi_c * ephi), a10, factor * chi_l)
+    del chi_r, chi_l, chi_c
     s = np.sqrt(q)
+    del q
     s_plus_d = s + d
     s_minus_d = s - d
     aligned = np.abs(s_plus_d) >= np.abs(s_minus_d)
@@ -555,7 +541,7 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     t = np.ones(omega_grid.size, dtype=np.complex128)
     r = np.zeros(omega_grid.size, dtype=np.complex128)
     t[live] = 2.0 * s * np.exp(m - s) / denom
-    r[live] = a[:, 1, 0] * em1 / denom
+    r[live] = a10 * em1 / denom
     return T0Spectrum(omega=omega_grid.copy(), transmission=t, reflection=r)
 
 

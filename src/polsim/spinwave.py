@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import PhysicalConfig, derive_scales, trapezoid_weights
+from .core_model import PhysicalConfig, _check_values, derive_scales, trapezoid_weights
 from .errors import GridError, PositivityWarning, QuadratureError
 from .propagation import _cw_coefficients
 from .susceptibility import _sixth_power, nu
@@ -55,8 +55,7 @@ class SpinWaveDensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        # trapezoid_weights rejects a grid that is not 1-d, finite and
-        # strictly increasing with at least two points
+        # trapezoid_weights checks the grid
         n = self.weights.size
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (n, n):
@@ -94,8 +93,7 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
     """
     if N < 64:
         raise GridError(f"need at least 64 samples to resolve the mode, got {N}")
-    if not (L > 0.0 and np.isfinite(L)):
-        raise ValueError(f"medium length must be positive and finite, got {L!r}")
+    _check_values("L", L, "positive")
     grid = np.linspace(0.0, L, N)
     psi = np.sin(np.pi * grid / L).astype(complex)
     w = trapezoid_weights(grid)
@@ -214,11 +212,8 @@ def blockade_loss_baseline(d_b):
     few, the benchmark the coherent-switching loss A is compared against.
     ``d_b`` may be a scalar or an array; the result matches its shape.
     """
-    d_b = np.asarray(d_b, dtype=float)
-    bad = ~((d_b >= 0.0) & np.isfinite(d_b))
-    if np.any(bad):
-        raise ValueError(f"d_b must be nonnegative and finite, got {float(d_b[bad][0])!r}")
-    loss = -np.expm1(-4.0 * d_b)
+    _check_values("d_b", d_b, "nonnegative")
+    loss = -np.expm1(-4.0 * np.asarray(d_b, dtype=float))
     return float(loss) if loss.ndim == 0 else loss
 
 

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core_model import DerivedScales, PhysicalConfig, derive_scales
+from .core_model import DerivedScales, PhysicalConfig, _check_values, derive_scales
 from .errors import SingularFrequencyError, SusceptibilityPoleError
 
 __all__ = [
@@ -166,20 +166,18 @@ def nu(z, x, scales: DerivedScales):
 
     The CW kernel ``chi0`` is the rescaled forward susceptibility of a
     resonant probe, and simultaneously ``-chi_l`` and ``-chi_c``: on
-    resonance the three collapse onto it.  ``z`` and ``x`` are physical
-    lengths, scalars or arrays that broadcast.  The integral is exact: in
-    blockade-radius units the kernel is ``d_b / (u**6 + 2j)``, integrated
-    over ``u`` from ``a = -x / z_b`` to ``b = (z - x) / z_b``, and its
-    partial fractions over the six roots r of ``r**6 = -2j`` integrate to
-    ``sum [log(b - r) - log(a - r)] / (6 r**5)``.
-    No root is real, so each principal log is continuous along the real
-    axis.
+    resonance the three collapse onto it.  ``z`` (nonnegative) and ``x`` are
+    finite physical lengths, scalars or arrays that broadcast.  The integral
+    is exact: in blockade-radius units the kernel is ``d_b / (u**6 + 2j)``,
+    integrated over ``u`` from ``a = -x / z_b`` to ``b = (z - x) / z_b``,
+    and its partial fractions over the six roots r of ``r**6 = -2j``
+    integrate to ``sum [log(b - r) - log(a - r)] / (6 r**5)``.  No root is
+    real, so each principal log is continuous along the real axis.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError(f"z must be nonnegative, got {z!r}")
+    _check_values("z", z, "nonnegative")
+    _check_values("x", x)
     lo = -np.asarray(x, dtype=float)[..., None] / scales.z_b
-    hi = z_arr[..., None] / scales.z_b + lo
+    hi = np.asarray(z, dtype=float)[..., None] / scales.z_b + lo
     logs = np.log(hi - _KERNEL_ROOTS) - np.log(lo - _KERNEL_ROOTS)
     val = 1j * scales.d_b * np.sum(_KERNEL_WEIGHTS * logs, axis=-1)
     if np.ndim(val) == 0:

@@ -6,7 +6,9 @@ import errno
 import itertools
 import json
 import math
+import os
 import platform
+import stat
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
@@ -707,6 +709,22 @@ class TestSchemaAndExitCodes:
             main(["spinwave", "--config", str(cfg), "--out", str(out)])
         assert next(calls) == 2  # the manifest was never reached
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_artifacts_get_the_mode_of_a_plain_open(self, tmp_path, umask, mode):
+        # each artifact and the manifest get the mode open(path, "w") would
+        # give under the process umask, not a temporary file's owner-only 0600
+        out = tmp_path / "out"
+        cfg = cw_config(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert main(["cw", "--config", str(cfg), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert len(modes) == 2 and "manifest.json" in modes
+        assert set(modes.values()) == {mode}
 
     def test_set_overrides(self, tmp_path):
         cfg = cw_config(tmp_path)

@@ -32,11 +32,6 @@ class TestPhysicalConfig:
         cfg = make_config(phi=-0.25)
         assert cfg.phi == pytest.approx(2.0 * math.pi - 0.25, abs=1e-12)
 
-    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_phase(self, phi):
-        with pytest.raises(ValueError, match="phi"):
-            make_config(phi=phi)
-
     @pytest.mark.parametrize("field", ["G", "Omega", "OmegaS", "gamma", "c", "C6", "L"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):
@@ -146,11 +141,6 @@ class TestTrapezoidWeights:
         with pytest.raises(GridError):
             trapezoid_weights(np.array([1.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_entries(self, bad):
-        with pytest.raises(GridError, match="finite"):
-            trapezoid_weights(np.array([0.0, bad, 1.0]))
-
 
 class TestGaussianPulseSpectrum:
     # Oracle: for intensity FWHM tau the amplitude spectrum is a Gaussian
@@ -185,6 +175,3 @@ class TestGaussianPulseSpectrum:
         with pytest.raises(GridError):
             gaussian_pulse_spectrum(1.0, grid[::-1])
 
-    def test_rejects_nan_grid(self):
-        with pytest.raises(GridError, match="finite"):
-            gaussian_pulse_spectrum(1.0, np.array([-1.0, np.nan, 1.0]))

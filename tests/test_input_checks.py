@@ -1,0 +1,101 @@
+"""One table of public inputs: a non-finite value is refused by name.
+
+Every grid and parameter value the library accepts goes through the two
+checks in ``core_model``.  Each row feeds nan, +inf and -inf to one input
+and expects the error type, a message that starts with the input's name,
+says "finite", and names the bad entry, with its index inside an array.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from polsim.core_model import (
+    PhysicalConfig,
+    derive_scales,
+    gaussian_pulse_spectrum,
+    trapezoid_weights,
+)
+from polsim.errors import GridError
+from polsim.fidelity import (
+    blockade_gate_baseline,
+    reflection_spectrum,
+    switch_fidelities,
+    transistor_fidelity,
+)
+from polsim.polariton_spectrum import build_bloch_matrix, spectrum
+from polsim.propagation import cw_bulk_coefficients, solve_bvp, t0_spectrum
+from polsim.spinwave import blockade_loss_baseline, initial_sine_mode
+from polsim.susceptibility import nu
+
+CFG = PhysicalConfig(G=1.0, Omega=1.0, OmegaS=1.0, gamma=1.0, phi=0.0,
+                     c=1.0, C6=1.0, L=5.0, x_gate=2.5)
+SCALES = derive_scales(CFG)
+
+
+def entry(values, index, bad):
+    """``values`` as a float array with ``bad`` at ``index``."""
+    out = np.array(values, dtype=float)
+    out[index] = bad
+    return out
+
+
+def row(id, call, error, name, index=None):
+    """A table row: the call on the bad value, the error type, the input's
+    name and the bad entry's index inside an array (None for a scalar)."""
+    return pytest.param(call, error, name, index, id=id)
+
+
+ROWS = [
+    *[
+        row(f"PhysicalConfig-{field}",
+            lambda b, field=field: dataclasses.replace(CFG, **{field: b}), ValueError, field)
+        for field in ("G", "Omega", "OmegaS", "gamma", "phi", "c", "C6", "L")
+    ],
+    row("trapezoid_weights",
+        lambda b: trapezoid_weights(entry([0.0, 1.0, 2.0], 1, b)), GridError, "grid", 1),
+    row("gaussian_pulse_spectrum-duration",
+        lambda b: gaussian_pulse_spectrum(b, np.linspace(-1.0, 1.0, 11)), ValueError, "duration"),
+    row("gaussian_pulse_spectrum-grid",
+        lambda b: gaussian_pulse_spectrum(1.0, entry([-1.0, 0.0, 1.0], 1, b)),
+        GridError, "grid", 1),
+    row("reflection_spectrum",
+        lambda b: reflection_spectrum([1.0, b], CFG), GridError, "omega_grid", 1),
+    row("t0_spectrum", lambda b: t0_spectrum([0.1, b], CFG), GridError, "omega_grid", 1),
+    # a NaN passes an increasing-grid test, so finiteness is checked first
+    row("spectrum",
+        lambda b: spectrum(entry(np.linspace(-1.0, 1.0, 5), 3, b), "free", CFG),
+        GridError, "k_grid", 3),
+    row("build_bloch_matrix", lambda b: build_bloch_matrix(b, "free", CFG), ValueError, "k"),
+    row("build_bloch_matrix-array",
+        lambda b: build_bloch_matrix(entry([0.0, 0.5, 1.0, 1.5], 2, b), "free", CFG),
+        ValueError, "k", 2),
+    row("switch_fidelities", switch_fidelities, ValueError, "d_b"),
+    row("blockade_gate_baseline", blockade_gate_baseline, ValueError, "d_b"),
+    row("transistor_fidelity", lambda b: transistor_fidelity(b, CFG), ValueError, "d_b"),
+    row("cw_bulk_coefficients", cw_bulk_coefficients, ValueError, "d_b"),
+    row("cw_bulk_coefficients-array",
+        lambda b: cw_bulk_coefficients(entry([1.0, 2.0], 1, b)), ValueError, "d_b", 1),
+    row("cw_bulk_coefficients-phi", lambda b: cw_bulk_coefficients(1.0, b), ValueError, "phi"),
+    row("blockade_loss_baseline", blockade_loss_baseline, ValueError, "d_b"),
+    row("blockade_loss_baseline-array",
+        lambda b: blockade_loss_baseline(entry([1.0, 2.0], 1, b)), ValueError, "d_b", 1),
+    row("initial_sine_mode", lambda b: initial_sine_mode(b, 64), ValueError, "L"),
+    row("solve_bvp", lambda b: solve_bvp(b, 2.5, CFG), ValueError, "omega"),
+    row("nu-z", lambda b: nu(b, 2.5, SCALES), ValueError, "z"),
+    row("nu-z-array", lambda b: nu(entry([1.0, 2.0, 3.0], 2, b), 2.5, SCALES), ValueError, "z", 2),
+    row("nu-x", lambda b: nu(5.0, b, SCALES), ValueError, "x"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, error, name, index", ROWS)
+def test_non_finite_input_is_refused_by_name(call, error, name, index, bad):
+    with pytest.raises(error) as info:
+        call(bad)
+    message = str(info.value)
+    at = "" if index is None else f" at index {index}"
+    assert message.startswith(f"{name} must be ")
+    assert message.endswith(f"finite, got {bad!r}{at}")
