@@ -30,18 +30,13 @@ import numpy as np
 from . import __version__
 from .core_model import PhysicalConfig, derive_scales
 from .errors import PolsimError, SchemaError
-from .fidelity import (
-    PI_PHASE_MIN_DB,
-    blockade_gate_baseline,
-    fidelity_report,
-    switch_fidelities,
-)
+from .fidelity import _masked_gate_baseline, fidelity_report, switch_fidelities
 from .polariton_spectrum import REGIMES, composition, default_k_grid, spectrum
 from .propagation import (
     _magnitude,
+    _width_fit,
     cw_analytic,
     cw_bulk_coefficients,
-    fitted_transparency_width,
     solve_bvp,
     t0_spectrum,
     transparency_width_study,
@@ -292,12 +287,9 @@ def _run_t0(cfg, scales, params):
     ]
     extras = {}
     if fit_width:
-        fitted = fitted_transparency_width(result)
-        extras["width_fit"] = {
-            "fitted (rad/s)": fitted,
-            "predicted (rad/s)": scales.delta_omega0,
-            "rel_error": abs(fitted - scales.delta_omega0) / scales.delta_omega0,
-        }
+        fit = _width_fit(result, scales.delta_omega0)
+        extras["width_fit"] = {"fitted (rad/s)": fit.fitted, "predicted (rad/s)": fit.predicted,
+                               "rel_error": fit.rel_error}
     return {"t0.csv": _csv_text(header, columns)}, extras
 
 
@@ -388,9 +380,8 @@ def _run_fidelity(cfg, scales, params):
         omega_grid = _grid(params, "omega", "n_omega")
     columns = [
         dbs,
-        *np.array([switch_fidelities(d_b) for d_b in dbs.tolist()]).T,
-        [blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
-         for d_b in dbs.tolist()],
+        *switch_fidelities(dbs),
+        list(map(_masked_gate_baseline, dbs.tolist())),
         blockade_loss_baseline(dbs),
     ]
     header = [
@@ -448,10 +439,7 @@ def _run_scan(cfg, scales, params):
         def one(value):
             sub = dataclasses.replace(cfg, **{parameter: value})
             res = cw_analytic(sub.x_gate, sub)
-            return (
-                value, abs(res.transmission), abs(res.transmission) ** 2,
-                abs(res.reflection), abs(res.reflection) ** 2, res.absorption,
-            )
+            return value, *_magnitude(res.transmission), *_magnitude(res.reflection), res.absorption
 
         header = [
             f"{parameter} (config units)",

@@ -18,6 +18,7 @@ numerical modules rescale lengths by the blockade radius ``z_b`` and rates by
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,7 @@ class PhysicalConfig:
         for name in ("G", "Omega", "OmegaS", "gamma", "c", "C6", "L"):
             _check_values(name, getattr(self, name), "positive")
         _check_values("phi", self.phi)
-        if not (0.0 <= self.x_gate <= self.L):
-            raise ValueError(
-                f"x_gate must lie inside the medium [0, {self.L}], got {self.x_gate!r}"
-            )
+        _check_in_medium("x_gate", self.x_gate, self.L)
         # Normalize the control phase; it only ever appears as exp(+-1j*phi).
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
@@ -196,7 +194,7 @@ def gaussian_pulse_spectrum(duration: float, omega_grid: np.ndarray) -> PulseSpe
     overlap integrals, so tests pin the discrete moments instead.
     """
     _check_values("duration", duration, "positive")
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid = _check_grid("omega_grid", omega_grid, min_size=2, increasing=True)
     w = trapezoid_weights(omega_grid)
     amp = np.exp(-(omega_grid**2) * duration**2 / (8.0 * math.log(2.0)))
     norm = np.sum(w * amp**2)
@@ -211,16 +209,45 @@ _SIGNS = {"": lambda v: True, "positive": lambda v: v > 0.0, "nonnegative": lamb
 
 
 def _check_values(name: str, value, sign: str = "", error=ValueError) -> None:
-    """Raise ``error`` unless ``value``, a number or an array, is finite and obeys ``sign``.
+    """Raise ``error`` unless ``value``, a real number or an array of them, is
+    finite and obeys ``sign``.
 
-    ``sign`` is "", "positive" or "nonnegative".  A valid Python number takes
+    ``sign`` is "", "positive" or "nonnegative".  A valid Python float takes
     ``math.isfinite`` and one comparison, no numpy.
     """
-    if isinstance(value, (int, float)) and math.isfinite(value) and _SIGNS[sign](value):
+    if isinstance(value, float) and math.isfinite(value) and _SIGNS[sign](value):
         return
-    value = np.asarray(value, dtype=float)
+    value = _real_array(name, value, error)
     ok = np.isfinite(value) & _SIGNS[sign](value)
     _refuse(name, f"{sign} and finite" if sign else "finite", value, ok, error)
+
+
+def _check_in_medium(name: str, value, length: float, error=ValueError) -> None:
+    """Raise ``error`` naming the first entry of ``value`` outside the medium [0, ``length``].
+
+    nan lies outside.  A valid Python float takes two comparisons, no numpy.
+    """
+    if isinstance(value, float) and 0.0 <= value <= length:
+        return
+    value = _real_array(name, value, error)
+    ok = (value >= 0.0) & (value <= length)
+    _refuse(name, f"in the medium [0, {float(length)!r}]", value, ok, error)
+
+
+def _real_array(name: str, value, error) -> np.ndarray:
+    """``value`` as a float array; raises ``error`` unless it holds real numbers.
+
+    A Python integer beyond the float range becomes an infinity of its sign.
+    """
+    if isinstance(value, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise error(f"{name} must be real, got {reprlib.repr(value)}")
+    return array.astype(float, copy=False)
 
 
 def _check_grid(name: str, grid, min_size: int = 1, increasing: bool = False) -> np.ndarray:
@@ -229,7 +256,7 @@ def _check_grid(name: str, grid, min_size: int = 1, increasing: bool = False) ->
     Raises GridError unless every point is finite and, where ``increasing``,
     above the one before.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_array(name, grid, GridError)
     if grid.ndim != 1 or grid.size < min_size:
         rule = f"one-dimensional with {min_size} or more points, got shape {grid.shape}"
         raise GridError(f"{name} must be {rule}")

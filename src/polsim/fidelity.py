@@ -25,8 +25,9 @@ from .core_model import (
     gaussian_pulse_spectrum,
 )
 from .errors import GridError
-from .propagation import cw_analytic, cw_bulk_coefficients, solve_bvp
+from .propagation import _cw_coefficients, _magnitude, cw_analytic, solve_bvp
 from .spinwave import evolve_cw, initial_sine_mode, retrieval_eta
+from .susceptibility import NU_INFINITY
 
 __all__ = [
     "PI_PHASE_MIN_DB",
@@ -58,20 +59,20 @@ class TimingEstimates(NamedTuple):
     reconversion_efficiency: float
 
 
-def switch_fidelities(d_b: float) -> SwitchFidelities:
+def switch_fidelities(d_b) -> SwitchFidelities:
     """Bulk-geometry switching fidelities at a given depth per radius.
 
     classical = 1 - |T1|**2 (beam blocked), quantum = gate = |R1|**2 (beam
     coherently rerouted).  The control phase rotates arg R1 only, so none
-    of the three depends on it.
+    of the three depends on it.  ``d_b`` may be a scalar or an array; the
+    fidelities match its shape, rounded as Python's ``abs(.) ** 2`` either way.
     """
     _check_values("d_b", d_b, "nonnegative")
-    if d_b == 0.0:
-        return SwitchFidelities(0.0, 0.0, 0.0)
-    t, r, _ = cw_bulk_coefficients(d_b)
-    classical = 1.0 - abs(t) ** 2
-    quantum = abs(r) ** 2
-    return SwitchFidelities(classical, quantum, quantum)
+    d_b = np.asarray(d_b, dtype=float)
+    t, r, _ = _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, 0.0)
+    quantum = _magnitude(r)[1]
+    fidelities = SwitchFidelities(1.0 - _magnitude(t)[1], quantum, quantum)
+    return SwitchFidelities._make(map(float, fidelities)) if d_b.ndim == 0 else fidelities
 
 
 def blockade_gate_baseline(d_b: float) -> float:
@@ -82,6 +83,11 @@ def blockade_gate_baseline(d_b: float) -> float:
     """
     _check_values("d_b", d_b, "positive")
     return math.exp(-5.0 * math.pi / (4.0 * d_b))
+
+
+def _masked_gate_baseline(d_b: float) -> float | None:
+    """``blockade_gate_baseline(d_b)`` from PI_PHASE_MIN_DB up; None (masked) below."""
+    return blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
 
 
 def reflection_spectrum(omega_grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
@@ -175,12 +181,10 @@ class FidelityReport:
         values = [
             self.f_classical_switch, self.f_quantum_switch, self.f_gate,
             self.eta_retrieval_estimate, self.f_transistor,
-            self.reconversion_efficiency, *self.f_pulse.values(),
+            self.reconversion_efficiency, *self.f_pulse.values(), self.f_gate_blockade_baseline,
         ]
-        if self.f_gate_blockade_baseline is not None:
-            values.append(self.f_gate_blockade_baseline)
         for v in values:
-            if not 0.0 <= v <= 1.0:
+            if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"fidelity {v!r} outside [0, 1]")
 
 
@@ -200,7 +204,7 @@ def fidelity_report(
     """
     d_b = derive_scales(config).d_b
     switches = switch_fidelities(d_b)
-    baseline = blockade_gate_baseline(d_b) if d_b >= PI_PHASE_MIN_DB else None
+    baseline = _masked_gate_baseline(d_b)
 
     # the half-sine stored mode after CW scattering, in its best retrievable mode
     eta = retrieval_eta(evolve_cw(initial_sine_mode(config.L, n_samples), config))

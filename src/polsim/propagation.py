@@ -47,7 +47,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core_model import _check_grid, _check_values, derive_scales
+from .core_model import _check_grid, _check_in_medium, _check_values, derive_scales
 from .errors import FitWindowError, IllConditionedError, QuadratureError
 from .susceptibility import (
     NU_INFINITY,
@@ -293,8 +293,7 @@ def solve_bvp(omega, x, config):
     and the zero-frequency scattering is ``cw_analytic``.
     """
     _check_values("omega", omega)
-    if not 0.0 <= x <= config.L:
-        raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
+    _check_in_medium("x", x, config.L)
     scales = derive_scales(config)
 
     def level_steps(*grids):
@@ -402,8 +401,7 @@ def cw_analytic(x, config):
     The field is built on first read, on the nodes ``solve_bvp`` accepts
     after one halving (40 steps per blockade radius).
     """
-    if not 0.0 <= x <= config.L:
-        raise ValueError(f"gate position {x!r} outside the medium [0, {config.L}]")
+    _check_in_medium("x", x, config.L)
     scales = derive_scales(config)
     nu_total = nu(config.L, x, scales)
     t, r, loss = _cw_coefficients(nu_total.real, nu_total.imag, config.phi)
@@ -594,9 +592,10 @@ def transparency_width_study(config, rel_window=1e-3, n=21) -> WidthFit:
         raise ValueError("need at least 7 samples")
     predicted = derive_scales(config).delta_omega0
     grid = np.linspace(-rel_window * predicted, rel_window * predicted, n)
-    fitted = fitted_transparency_width(t0_spectrum(grid, config))
-    return WidthFit(
-        fitted=fitted,
-        predicted=predicted,
-        rel_error=abs(fitted - predicted) / predicted,
-    )
+    return _width_fit(t0_spectrum(grid, config), predicted)
+
+
+def _width_fit(t0_results: T0Spectrum, predicted: float) -> WidthFit:
+    """The width fitted to ``t0_results`` next to ``predicted``, and their relative error."""
+    fitted = fitted_transparency_width(t0_results)
+    return WidthFit(fitted, predicted, abs(fitted - predicted) / predicted)

@@ -17,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import PhysicalConfig, _check_values, derive_scales, trapezoid_weights
+from .core_model import (
+    PhysicalConfig, _check_in_medium, _check_values, derive_scales, trapezoid_weights,
+)
 from .errors import GridError, PositivityWarning, QuadratureError
 from .propagation import _cw_coefficients
 from .susceptibility import _sixth_power, nu
@@ -169,9 +171,8 @@ def coherence_factor(x: float, y: float, config: PhysicalConfig) -> complex:
     ``x`` and ``y`` are physical positions in [0, L]; the value comes from
     the same factor matrix that ``evolve_cw`` applies.
     """
-    for name, value in (("x", x), ("y", y)):
-        if not 0.0 <= value <= config.L:
-            raise ValueError(f"{name} must lie in [0, L], got {value!r}")
+    _check_in_medium("x", x, config.L)
+    _check_in_medium("y", y, config.L)
     if x == y:
         return 1.0 + 0.0j
     return complex(_factor_matrix(np.array([x, y], dtype=float), config)[0, 1])
@@ -182,15 +183,14 @@ def evolve_cw(rho0: SpinWaveDensityMatrix, config: PhysicalConfig) -> SpinWaveDe
 
     Multiplies rho0 by the coherence factor of every grid pair, leaving the
     diagonal untouched.  ``rho0``'s grid, checked finite and strictly
-    increasing when it was built, must lie within [0, L] of ``config``.
+    increasing when it was built, must be in the medium [0, L] of ``config``.
     Raises QuadratureError naming the grid size and the medium length if a
     block of the kernel quadrature fails to converge, and emits a
     PositivityWarning if discretization pushes the result out of the PSD
     cone by more than PSD_SLACK times the trace.
     """
     grid = rho0.grid
-    if grid[0] < 0.0 or grid[-1] > config.L:
-        raise GridError("spin-wave grid extends outside the medium [0, L]")
+    _check_in_medium("rho0.grid", grid, config.L, GridError)
     evolved = SpinWaveDensityMatrix(grid=grid, rho=_factor_matrix(grid, config) * rho0.rho)
 
     eigs = np.linalg.eigvalsh(evolved.weighted())

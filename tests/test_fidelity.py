@@ -58,6 +58,16 @@ class TestSwitchFidelities:
     def test_zero_depth(self):
         assert switch_fidelities(0.0) == (0.0, 0.0, 0.0)
 
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        d_b = np.r_[0.0, np.geomspace(1e-3, 1e3, 61), 5.0, 6.0]
+        arrays = switch_fidelities(d_b)
+        assert all(a.shape == d_b.shape for a in arrays)
+        scalars = np.array([switch_fidelities(v) for v in d_b.tolist()]).T
+        for a, s in zip(arrays, scalars):
+            assert a.tobytes() == s.tobytes()
+        assert [a[0] for a in arrays] == [0.0, 0.0, 0.0]
+        assert all(type(f) is float for f in switch_fidelities(5.0))
+
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             switch_fidelities(-1.0)

@@ -1,9 +1,11 @@
-"""One table of public inputs: a non-finite value is refused by name.
+"""Tables of public inputs: a bad value is refused by name.
 
-Every grid and parameter value the library accepts goes through the two
-checks in ``core_model``.  Each row feeds nan, +inf and -inf to one input
-and expects the error type, a message that starts with the input's name,
-says "finite", and names the bad entry, with its index inside an array.
+Every grid and parameter value the library accepts goes through the
+checks in ``core_model``.  Each row of the first table feeds nan, +inf and
+-inf to one input and expects the error type, a message that starts with
+the input's name, says "finite", and names the bad entry, with its index
+inside an array.  The second table feeds values that are no real number,
+and the third positions outside the medium to each input that takes one.
 """
 
 import dataclasses
@@ -26,8 +28,8 @@ from polsim.fidelity import (
     transistor_fidelity,
 )
 from polsim.polariton_spectrum import build_bloch_matrix, spectrum
-from polsim.propagation import cw_bulk_coefficients, solve_bvp, t0_spectrum
-from polsim.spinwave import blockade_loss_baseline, initial_sine_mode
+from polsim.propagation import cw_analytic, cw_bulk_coefficients, solve_bvp, t0_spectrum
+from polsim.spinwave import blockade_loss_baseline, coherence_factor, evolve_cw, initial_sine_mode
 from polsim.susceptibility import nu
 
 CFG = PhysicalConfig(G=1.0, Omega=1.0, OmegaS=1.0, gamma=1.0, phi=0.0,
@@ -60,7 +62,7 @@ ROWS = [
         lambda b: gaussian_pulse_spectrum(b, np.linspace(-1.0, 1.0, 11)), ValueError, "duration"),
     row("gaussian_pulse_spectrum-grid",
         lambda b: gaussian_pulse_spectrum(1.0, entry([-1.0, 0.0, 1.0], 1, b)),
-        GridError, "grid", 1),
+        GridError, "omega_grid", 1),
     row("reflection_spectrum",
         lambda b: reflection_spectrum([1.0, b], CFG), GridError, "omega_grid", 1),
     row("t0_spectrum", lambda b: t0_spectrum([0.1, b], CFG), GridError, "omega_grid", 1),
@@ -99,3 +101,71 @@ def test_non_finite_input_is_refused_by_name(call, error, name, index, bad):
     at = "" if index is None else f" at index {index}"
     assert message.startswith(f"{name} must be ")
     assert message.endswith(f"finite, got {bad!r}{at}")
+
+
+def case(id, call, error, name, bad, tail):
+    """A row of the non-real table: the message ends ``tail``."""
+    return pytest.param(call, error, name, bad, tail, id=id)
+
+
+def with_g(b):
+    return dataclasses.replace(CFG, G=b)
+
+
+# an integer beyond the float range counts as an infinity of its sign; any
+# other non-real value is refused as such, never converted
+NON_REAL = [
+    case("PhysicalConfig-G-huge-int", with_g, ValueError, "G", 10**400,
+         "positive and finite, got inf"),
+    case("PhysicalConfig-G-huge-negative-int", with_g, ValueError, "G", -(10**400),
+         "positive and finite, got -inf"),
+    case("blockade_loss_baseline-huge-int", blockade_loss_baseline, ValueError, "d_b", 10**400,
+         "nonnegative and finite, got inf"),
+    case("PhysicalConfig-G-str", with_g, ValueError, "G", "1", "real, got '1'"),
+    case("PhysicalConfig-x_gate-str", lambda b: dataclasses.replace(CFG, x_gate=b),
+         ValueError, "x_gate", "1", "real, got '1'"),
+    case("blockade_loss_baseline-str", blockade_loss_baseline, ValueError, "d_b", "1",
+         "real, got '1'"),
+    case("cw_bulk_coefficients-complex", cw_bulk_coefficients, ValueError, "d_b", 1.0 + 0.5j,
+         "real, got (1+0.5j)"),
+    case("trapezoid_weights-str", lambda b: trapezoid_weights(["0", b]), GridError, "grid", "1",
+         "real, got ['0', '1']"),
+]
+
+
+@pytest.mark.parametrize("call, error, name, bad, tail", NON_REAL)
+def test_non_real_input_is_refused_by_name(call, error, name, bad, tail):
+    with pytest.raises(error) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be {tail}"
+
+
+def planted(bad):
+    """The half-sine matrix of CFG with ``bad`` planted as its first grid point.
+
+    Planted after construction: the matrix refuses a nan grid itself, so
+    only a grid it never checked can carry one to ``evolve_cw``.
+    """
+    rho0 = initial_sine_mode(CFG.L, 64)
+    object.__setattr__(rho0, "grid", entry(rho0.grid, 0, bad))
+    return rho0
+
+
+IN_MEDIUM = [
+    row("PhysicalConfig-x_gate",
+        lambda b: dataclasses.replace(CFG, x_gate=b), ValueError, "x_gate"),
+    row("solve_bvp", lambda b: solve_bvp(1.0, b, CFG), ValueError, "x"),
+    row("cw_analytic", lambda b: cw_analytic(b, CFG), ValueError, "x"),
+    row("coherence_factor-x", lambda b: coherence_factor(b, 1.0, CFG), ValueError, "x"),
+    row("coherence_factor-y", lambda b: coherence_factor(1.0, b, CFG), ValueError, "y"),
+    row("evolve_cw", lambda b: evolve_cw(planted(b), CFG), GridError, "rho0.grid", 0),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, CFG.L + 0.5])
+@pytest.mark.parametrize("call, error, name, index", IN_MEDIUM)
+def test_position_outside_the_medium_is_refused_by_name(call, error, name, index, bad):
+    with pytest.raises(error) as info:
+        call(bad)
+    at = "" if index is None else f" at index {index}"
+    assert str(info.value) == f"{name} must be in the medium [0, {CFG.L!r}], got {bad!r}{at}"
