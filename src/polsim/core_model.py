@@ -208,34 +208,34 @@ def gaussian_pulse_spectrum(duration: float, omega_grid: np.ndarray) -> PulseSpe
 _SIGNS = {"": lambda v: True, "positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0}
 
 
-def _check_values(name: str, value, sign: str = "", error=ValueError) -> None:
-    """Raise ``error`` unless ``value``, a real number or an array of them, is
-    finite and obeys ``sign``.
+def _check_values(name: str, value, sign: str = "", error=ValueError, array=False) -> None:
+    """Raise ``error`` unless ``value``, a real number (or, where ``array``, an
+    array of them), is finite and obeys ``sign``.
 
     ``sign`` is "", "positive" or "nonnegative".  A valid Python float takes
     ``math.isfinite`` and one comparison, no numpy.
     """
     if isinstance(value, float) and math.isfinite(value) and _SIGNS[sign](value):
         return
-    value = _real_array(name, value, error)
+    value = _real_array(name, value, error, array)
     ok = np.isfinite(value) & _SIGNS[sign](value)
     _refuse(name, f"{sign} and finite" if sign else "finite", value, ok, error)
 
 
-def _check_in_medium(name: str, value, length: float, error=ValueError) -> None:
+def _check_in_medium(name: str, value, length: float, error=ValueError, array=False) -> None:
     """Raise ``error`` naming the first entry of ``value`` outside the medium [0, ``length``].
 
     nan lies outside.  A valid Python float takes two comparisons, no numpy.
     """
     if isinstance(value, float) and 0.0 <= value <= length:
         return
-    value = _real_array(name, value, error)
+    value = _real_array(name, value, error, array)
     ok = (value >= 0.0) & (value <= length)
     _refuse(name, f"in the medium [0, {float(length)!r}]", value, ok, error)
 
 
-def _real_array(name: str, value, error) -> np.ndarray:
-    """``value`` as a float array; raises ``error`` unless it holds real numbers.
+def _real_array(name: str, value, error, array: bool) -> np.ndarray:
+    """``value`` as a float array of real numbers, 0-d unless ``array``, or raise ``error``.
 
     A Python integer beyond the float range becomes an infinity of its sign.
     """
@@ -244,10 +244,17 @@ def _real_array(name: str, value, error) -> np.ndarray:
             value = float(value)
         except OverflowError:
             value = math.inf if value > 0 else -math.inf
-    array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
+    values = np.asarray(value)
+    if values.dtype.kind not in "biuf":
         raise error(f"{name} must be real, got {reprlib.repr(value)}")
-    return array.astype(float, copy=False)
+    if values.ndim and not array:
+        raise error(f"{name} must be one number, got an array of shape {values.shape}")
+    return values.astype(float, copy=False)
+
+
+def _numbers(values: tuple, scalar: bool) -> tuple:
+    """``values``, or where ``scalar`` each array's one element as a Python number of its bits."""
+    return tuple(np.ravel(v)[0].item() for v in values) if scalar else values
 
 
 def _check_grid(name: str, grid, min_size: int = 1, increasing: bool = False) -> np.ndarray:
@@ -256,11 +263,11 @@ def _check_grid(name: str, grid, min_size: int = 1, increasing: bool = False) ->
     Raises GridError unless every point is finite and, where ``increasing``,
     above the one before.
     """
-    grid = _real_array(name, grid, GridError)
+    grid = _real_array(name, grid, GridError, array=True)
     if grid.ndim != 1 or grid.size < min_size:
         rule = f"one-dimensional with {min_size} or more points, got shape {grid.shape}"
         raise GridError(f"{name} must be {rule}")
-    _check_values(name, grid, error=GridError)
+    _check_values(name, grid, error=GridError, array=True)
     if increasing:
         _refuse(name, "strictly increasing", grid, np.r_[True, np.diff(grid) > 0.0], GridError)
     return grid

@@ -21,13 +21,13 @@ from .core_model import (
     PulseSpec,
     _check_grid,
     _check_values,
+    _numbers,
     derive_scales,
     gaussian_pulse_spectrum,
 )
 from .errors import GridError
-from .propagation import _cw_coefficients, _magnitude, cw_analytic, solve_bvp
+from .propagation import _magnitude, cw_analytic, cw_bulk_coefficients, solve_bvp
 from .spinwave import evolve_cw, initial_sine_mode, retrieval_eta
-from .susceptibility import NU_INFINITY
 
 __all__ = [
     "PI_PHASE_MIN_DB",
@@ -64,15 +64,14 @@ def switch_fidelities(d_b) -> SwitchFidelities:
 
     classical = 1 - |T1|**2 (beam blocked), quantum = gate = |R1|**2 (beam
     coherently rerouted).  The control phase rotates arg R1 only, so none
-    of the three depends on it.  ``d_b`` may be a scalar or an array; the
-    fidelities match its shape, rounded as Python's ``abs(.) ** 2`` either way.
+    of the three depends on it.  ``d_b``, as for ``cw_bulk_coefficients``, which
+    gives T1 and R1, is >= 0, a scalar or an array; the fidelities match its
+    shape, rounded as Python's ``abs(.) ** 2`` either way.
     """
-    _check_values("d_b", d_b, "nonnegative")
-    d_b = np.asarray(d_b, dtype=float)
-    t, r, _ = _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, 0.0)
+    t, r, _ = cw_bulk_coefficients(d_b)
     quantum = _magnitude(r)[1]
-    fidelities = SwitchFidelities(1.0 - _magnitude(t)[1], quantum, quantum)
-    return SwitchFidelities._make(map(float, fidelities)) if d_b.ndim == 0 else fidelities
+    fidelities = (1.0 - _magnitude(t)[1], quantum, quantum)
+    return SwitchFidelities._make(_numbers(fidelities, np.ndim(d_b) == 0))
 
 
 def blockade_gate_baseline(d_b: float) -> float:

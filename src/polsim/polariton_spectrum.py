@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import PhysicalConfig, _check_grid, _check_values, derive_scales
+from .core_model import PhysicalConfig, _check_grid, _check_values, _numbers, derive_scales
 from .errors import FitWindowError, FitWindowWarning, GridError
 
 __all__ = [
@@ -59,7 +59,7 @@ def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    _check_values("k", k)
+    _check_values("k", k, array=True)
     k = np.asarray(k, dtype=float)
 
     G, Om, OmS = config.G, config.Omega, config.OmegaS
@@ -220,8 +220,8 @@ def spectrum(
 def composition(eigenvector: np.ndarray):
     """Weight fractions (photon_right, photon_left, atomic) of a polariton.
 
-    ``eigenvector`` is one vector or a stack of them along the last axis;
-    for a stack each fraction is an array over the leading axes.
+    ``eigenvector`` is one vector, giving three Python floats, or a stack of
+    them along the last axis, giving arrays over the leading axes.
     """
     v = np.asarray(eigenvector, dtype=np.complex128)
     # sum of |v|**2 by the BLAS dot product that np.vdot(v, v) uses
@@ -230,9 +230,7 @@ def composition(eigenvector: np.ndarray):
         raise ValueError("eigenvector must be nonzero")
     p = np.abs(v) ** 2 / norm2[..., None]
     fractions = p[..., 0], p[..., 1], np.sum(p[..., 2:], axis=-1)
-    if v.ndim == 1:
-        return tuple(float(f) for f in fractions)
-    return fractions
+    return _numbers(fractions, v.ndim == 1)
 
 
 @dataclass(frozen=True)

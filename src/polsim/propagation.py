@@ -47,7 +47,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core_model import _check_grid, _check_in_medium, _check_values, derive_scales
+from .core_model import _check_grid, _check_in_medium, _check_values, _numbers, derive_scales
 from .errors import FitWindowError, IllConditionedError, QuadratureError
 from .susceptibility import (
     NU_INFINITY,
@@ -147,14 +147,16 @@ def propagation_matrix(z, x, omega, config):
     the zero-frequency scattering is ``cw_analytic``.
     """
     dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
-    chi_r, chi_l, chi_c = susceptibilities(dz, omega, config)
-    ephi = cmath.exp(1j * config.phi)
-    m = np.empty(chi_r.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = chi_r
-    m[..., 0, 1] = chi_c * ephi
-    m[..., 1, 0] = -chi_c * ephi.conjugate()
-    m[..., 1, 1] = chi_l
+    chi = susceptibilities(dz, omega, config)
+    m = np.empty(dz.shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = _matrix_entries(*chi, config.phi)
     return m[0] if np.ndim(z) == 0 else m
+
+
+def _matrix_entries(chi_r, chi_l, chi_c, phi):
+    """Entries (m00, m01, m10, m11) of M in ``propagation_matrix``; m00, m11 are chi_r, chi_l."""
+    ephi = cmath.exp(1j * phi)
+    return chi_r, chi_c * ephi, -chi_c * ephi.conjugate(), chi_l
 
 
 def _build_nodes(length_zb: float) -> np.ndarray:
@@ -439,10 +441,10 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     """Deep-medium limit of the cw coefficients for blockade depth ``d_b``.
 
     Returns ``(transmission, reflection, absorption)`` with the kernel
-    integral saturated at its infinite-medium value.  ``d_b`` may be a
-    scalar or an array; the results match its shape.
+    integral saturated at its infinite-medium value.  ``d_b >= 0`` may be a
+    scalar or an array; the results match its shape (exactly (1, 0, 0) at 0).
     """
-    _check_values("d_b", d_b, "positive")
+    _check_values("d_b", d_b, "nonnegative", array=True)
     _check_values("phi", phi)
     d_b = np.asarray(d_b, dtype=float)
     return _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, phi)
@@ -465,9 +467,7 @@ def _cw_coefficients(nu_re, nu_im, phi):
     t = 1.0 / denom + 1j * (-ratio / denom)
     r = (a_re + a_im * ratio) / denom + 1j * ((a_im - a_re * ratio) / denom)
     loss = 1.0 - _magnitude(t)[1] - _magnitude(r)[1]
-    if np.ndim(loss) == 0:
-        return complex(t), complex(r), float(loss)
-    return t, r, loss
+    return _numbers((t, r, loss), np.ndim(loss) == 0)
 
 
 def _magnitude(z):
@@ -513,12 +513,12 @@ def t0_spectrum(omega_grid, config) -> T0Spectrum:
     scales = derive_scales(config)
     live = omega_grid != 0.0
     # A = -1j M L by components, each input dropped once used to bound the peak memory
-    chi_r, chi_l, chi_c = free_susceptibilities(omega_grid[live], config)
     factor = -1j * config.L / scales.z_b
-    ephi = cmath.exp(1j * config.phi)
-    a10 = factor * (-chi_c * ephi.conjugate())
-    m, d, q, a01_a10 = _invariants(factor * chi_r, factor * (chi_c * ephi), a10, factor * chi_l)
-    del chi_r, chi_l, chi_c
+    chi = free_susceptibilities(omega_grid[live], config)
+    a00, a01, a10, a11 = (factor * entry for entry in _matrix_entries(*chi, config.phi))
+    del chi
+    m, d, q, a01_a10 = _invariants(a00, a01, a10, a11)
+    del a00, a01, a11
     s = np.sqrt(q)
     del q
     s_plus_d = s + d

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import (
-    PhysicalConfig, _check_in_medium, _check_values, derive_scales, trapezoid_weights,
+    PhysicalConfig, _check_in_medium, _check_values, _numbers, derive_scales, trapezoid_weights,
 )
 from .errors import GridError, PositivityWarning, QuadratureError
 from .propagation import _cw_coefficients
@@ -67,6 +67,11 @@ class SpinWaveDensityMatrix:
     @cached_property
     def weights(self) -> np.ndarray:
         return trapezoid_weights(self.grid)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``weighted()`` in ascending order, from one eigensolve."""
+        return np.linalg.eigvalsh(self.weighted())
 
     def weighted(self) -> np.ndarray:
         """Similarity-transformed matrix sqrt(W) rho sqrt(W).
@@ -190,14 +195,13 @@ def evolve_cw(rho0: SpinWaveDensityMatrix, config: PhysicalConfig) -> SpinWaveDe
     cone by more than PSD_SLACK times the trace.
     """
     grid = rho0.grid
-    _check_in_medium("rho0.grid", grid, config.L, GridError)
+    _check_in_medium("rho0.grid", grid, config.L, GridError, array=True)
     evolved = SpinWaveDensityMatrix(grid=grid, rho=_factor_matrix(grid, config) * rho0.rho)
 
-    eigs = np.linalg.eigvalsh(evolved.weighted())
-    tr = evolved.trace()
-    if eigs.min() < -PSD_SLACK * max(tr, 1.0):
+    low = evolved.eigenvalues[0]
+    if low < -PSD_SLACK * max(evolved.trace(), 1.0):
         warnings.warn(
-            f"evolved density matrix has eigenvalue {eigs.min():.3e} below the "
+            f"evolved density matrix has eigenvalue {low:.3e} below the "
             f"PSD slack; refine the grid if this matters",
             PositivityWarning,
             stacklevel=2,
@@ -212,9 +216,9 @@ def blockade_loss_baseline(d_b):
     few, the benchmark the coherent-switching loss A is compared against.
     ``d_b`` may be a scalar or an array; the result matches its shape.
     """
-    _check_values("d_b", d_b, "nonnegative")
+    _check_values("d_b", d_b, "nonnegative", array=True)
     loss = -np.expm1(-4.0 * np.asarray(d_b, dtype=float))
-    return float(loss) if loss.ndim == 0 else loss
+    return _numbers((loss,), loss.ndim == 0)[0]
 
 
 def retrieval_eta(dm: SpinWaveDensityMatrix) -> float:
@@ -228,5 +232,4 @@ def retrieval_eta(dm: SpinWaveDensityMatrix) -> float:
     tr = dm.trace()
     if tr <= 0.0:
         raise ValueError(f"density matrix trace must be positive, got {tr!r}")
-    eigs = np.linalg.eigvalsh(dm.weighted())
-    return float(eigs[-1] / tr)
+    return float(dm.eigenvalues[-1] / tr)

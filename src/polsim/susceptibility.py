@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core_model import DerivedScales, PhysicalConfig, _check_values, derive_scales
+from .core_model import DerivedScales, PhysicalConfig, _check_values, _numbers, derive_scales
 from .errors import SingularFrequencyError, SusceptibilityPoleError
 
 __all__ = [
@@ -120,12 +120,6 @@ def _vdw_or_inf(dz, config):
         return config.C6 / _sixth_power(np.asarray(dz, dtype=float))
 
 
-def _triple(chi, scalar):
-    if scalar:
-        return tuple(complex(c[0]) for c in chi)
-    return chi
-
-
 def susceptibilities(dz, omega: float, config: PhysicalConfig):
     """Rescaled ``(chi_r, chi_l, chi_c)`` at separation ``dz`` from the gate.
 
@@ -141,7 +135,7 @@ def susceptibilities(dz, omega: float, config: PhysicalConfig):
         If the shared denominator vanishes; it names the first offending dz.
     """
     chi = _chi_arrays(np.atleast_1d(dz), omega, config, derive_scales(config))
-    return _triple(chi, scalar=np.ndim(dz) == 0)
+    return _numbers(chi, np.ndim(dz) == 0)
 
 
 def free_susceptibilities(omega, config: PhysicalConfig):
@@ -152,7 +146,7 @@ def free_susceptibilities(omega, config: PhysicalConfig):
     the bits of the matching array element.
     """
     chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, derive_scales(config))
-    return _triple(chi, scalar=np.ndim(omega) == 0)
+    return _numbers(chi, np.ndim(omega) == 0)
 
 
 # The six roots r of r**6 = -2j and the partial-fraction weights of the CW
@@ -167,22 +161,21 @@ def nu(z, x, scales: DerivedScales):
     The CW kernel ``chi0`` is the rescaled forward susceptibility of a
     resonant probe, and simultaneously ``-chi_l`` and ``-chi_c``: on
     resonance the three collapse onto it.  ``z`` (nonnegative) and ``x`` are
-    finite physical lengths, scalars or arrays that broadcast.  The integral
-    is exact: in blockade-radius units the kernel is ``d_b / (u**6 + 2j)``,
-    integrated over ``u`` from ``a = -x / z_b`` to ``b = (z - x) / z_b``,
-    and its partial fractions over the six roots r of ``r**6 = -2j``
-    integrate to ``sum [log(b - r) - log(a - r)] / (6 r**5)``.  No root is
-    real, so each principal log is continuous along the real axis.
+    finite physical lengths, scalars (giving a Python ``complex``) or arrays
+    that broadcast.  The integral is exact: in blockade-radius units the
+    kernel is ``d_b / (u**6 + 2j)``, integrated over ``u`` from
+    ``a = -x / z_b`` to ``b = (z - x) / z_b``, and its partial fractions over
+    the six roots r of ``r**6 = -2j`` integrate to
+    ``sum [log(b - r) - log(a - r)] / (6 r**5)``.  No root is real, so each
+    principal log is continuous along the real axis.
     """
-    _check_values("z", z, "nonnegative")
-    _check_values("x", x)
+    _check_values("z", z, "nonnegative", array=True)
+    _check_values("x", x, array=True)
     lo = -np.asarray(x, dtype=float)[..., None] / scales.z_b
     hi = np.asarray(z, dtype=float)[..., None] / scales.z_b + lo
     logs = np.log(hi - _KERNEL_ROOTS) - np.log(lo - _KERNEL_ROOTS)
     val = 1j * scales.d_b * np.sum(_KERNEL_WEIGHTS * logs, axis=-1)
-    if np.ndim(val) == 0:
-        return complex(val)
-    return val
+    return _numbers((val,), np.ndim(val) == 0)[0]
 
 
 NU_INFINITY = (math.pi / 3.0) * (1.0 + 1.0j) ** (1.0 / 3.0)

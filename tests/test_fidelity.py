@@ -206,6 +206,22 @@ class TestFidelityReport:
                 tau_spread=1e-7, reconversion_efficiency=0.9,
             )
 
+    def test_one_eigensolve(self, monkeypatch):
+        # the PSD check of evolve_cw and retrieval_eta share the evolved
+        # state's cached spectrum
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        geo = PhysicalConfig(G=np.sqrt(5.0), Omega=1.0, OmegaS=1.0, gamma=1.0,
+                             phi=0.0, c=1.0, C6=1.0, L=5.0, x_gate=2.5)
+        fidelity_report(geo)
+        assert calls == [(64, 64)]
+
     def test_durations_require_grid(self):
         geo = PhysicalConfig(G=np.sqrt(5.0), Omega=1.0, OmegaS=1.0, gamma=1.0,
                              phi=0.0, c=1.0, C6=1.0, L=5.0, x_gate=2.5)

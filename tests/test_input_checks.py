@@ -6,6 +6,8 @@ checks in ``core_model``.  Each row of the first table feeds nan, +inf and
 the input's name, says "finite", and names the bad entry, with its index
 inside an array.  The second table feeds values that are no real number,
 and the third positions outside the medium to each input that takes one.
+The fourth feeds a two-element array to each input documented as one
+number, and a 0-d array and a numpy scalar, which count as one number.
 """
 
 import dataclasses
@@ -169,3 +171,45 @@ def test_position_outside_the_medium_is_refused_by_name(call, error, name, index
         call(bad)
     at = "" if index is None else f" at index {index}"
     assert str(info.value) == f"{name} must be in the medium [0, {CFG.L!r}], got {bad!r}{at}"
+
+
+def one(id, call, name, good=1.5):
+    """A row of the one-number table: ``call`` on the value, the input's name
+    and a valid value of that input."""
+    return pytest.param(call, name, good, id=id)
+
+
+# inputs documented as one number; the array inputs (k, the d_b sweeps,
+# nu's z and x, and grids) are in the tables above
+ONE_NUMBER = [
+    *[
+        one(f"PhysicalConfig-{field}",
+            lambda v, field=field: dataclasses.replace(CFG, **{field: v}), field,
+            6.0 if field == "L" else 1.5)
+        for field in ("G", "Omega", "OmegaS", "gamma", "phi", "c", "C6", "L", "x_gate")
+    ],
+    one("solve_bvp-omega", lambda v: solve_bvp(v, 2.5, CFG), "omega"),
+    one("solve_bvp-x", lambda v: solve_bvp(1.0, v, CFG), "x"),
+    one("cw_analytic-x", lambda v: cw_analytic(v, CFG), "x"),
+    one("coherence_factor-x", lambda v: coherence_factor(v, 1.0, CFG), "x"),
+    one("coherence_factor-y", lambda v: coherence_factor(1.0, v, CFG), "y"),
+    one("transistor_fidelity-d_b", lambda v: transistor_fidelity(v, CFG), "d_b"),
+    one("blockade_gate_baseline-d_b", blockade_gate_baseline, "d_b"),
+    one("gaussian_pulse_spectrum-duration",
+        lambda v: gaussian_pulse_spectrum(v, np.linspace(-1.0, 1.0, 11)), "duration"),
+    one("initial_sine_mode-L", lambda v: initial_sine_mode(v, 64), "L"),
+    one("cw_bulk_coefficients-phi", lambda v: cw_bulk_coefficients(1.0, v), "phi"),
+]
+
+
+@pytest.mark.parametrize("call, name, good", ONE_NUMBER)
+def test_array_for_one_number_is_refused_by_name(call, name, good):
+    with pytest.raises(ValueError) as info:
+        call(np.array([good, good]))
+    assert str(info.value) == f"{name} must be one number, got an array of shape (2,)"
+
+
+@pytest.mark.parametrize("call, name, good", ONE_NUMBER)
+def test_zero_dimensional_numbers_are_accepted(call, name, good):
+    call(np.array(good))
+    call(np.float64(good))

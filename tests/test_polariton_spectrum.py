@@ -330,9 +330,12 @@ class TestComposition:
         cfg = make_config(phi=1.7)
         branches = spectrum(default_k_grid(cfg, 2.0, 81), "free", cfg)
         for b in branches:
-            fracs = np.array([composition(v) for v in b.vectors])
+            singles = [composition(v) for v in b.vectors]
+            assert all(type(f) is float for triple in singles for f in triple)
+            fracs = np.array(singles)
             assert np.allclose(fracs.sum(axis=1), 1.0, atol=1e-12)
-            assert np.array_equal(np.column_stack(composition(b.vectors)), fracs)
+            # one vector gives the bits of the stacked call
+            assert np.column_stack(composition(b.vectors)).tobytes() == fracs.tobytes()
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -994,14 +994,19 @@ class TestBulkCoefficients:
         assert r5 == pytest.approx(np.exp(-0.9j) * r0, rel=1e-12)
 
     def test_array_input_matches_scalars(self):
-        d_b = np.linspace(0.01, 100.0, 501)
-        t, r, a = cw_bulk_coefficients(d_b, phi=0.9)
+        # a scalar gives Python numbers with the bits of the array elements
+        d_b = np.r_[0.0, np.linspace(0.01, 100.0, 501)]
+        arrays = cw_bulk_coefficients(d_b, phi=0.9)
         scalars = [cw_bulk_coefficients(float(d), phi=0.9) for d in d_b]
-        assert list(zip(t.tolist(), r.tolist(), a.tolist())) == scalars
+        assert all(list(map(type, s)) == [complex, complex, float] for s in scalars)
+        for array, column in zip(arrays, zip(*scalars), strict=True):
+            assert np.array(column).tobytes() == array.tobytes()
 
     def test_nonpositive_depth_rejected(self):
+        # d_b = 0 is the empty medium: the closed form gives exactly (1, 0, 0)
+        assert cw_bulk_coefficients(0.0) == (1 + 0j, 0j, 0.0)
         with pytest.raises(ValueError):
-            cw_bulk_coefficients(0.0)
+            cw_bulk_coefficients(-1.0)
         with pytest.raises(ValueError):
             cw_bulk_coefficients(np.array([1.0, -1.0]))
 

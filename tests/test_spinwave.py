@@ -380,10 +380,11 @@ class TestBlockadeLossBaseline:
             val = blockade_loss_baseline(float(d_b))
             assert 0.0 <= val <= 1.0
         assert blockade_loss_baseline(5.0) < 1.0
+        # a scalar gives a Python float with the bits of the array element
         grid = np.linspace(0.0, 100.0, 37)
-        assert blockade_loss_baseline(grid).tolist() == [
-            blockade_loss_baseline(float(d_b)) for d_b in grid
-        ]
+        scalars = [blockade_loss_baseline(float(d_b)) for d_b in grid]
+        assert all(type(s) is float for s in scalars)
+        assert np.array(scalars).tobytes() == blockade_loss_baseline(grid).tobytes()
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,16 @@ class TestSusceptibilities:
         with pytest.raises(SingularFrequencyError):
             free_susceptibilities(np.array([0.5, 0.0]), CFG)
 
+    def test_susceptibilities_broadcast_over_dz(self):
+        # a scalar gives the bits of the matching array element
+        rng = np.random.default_rng(12)
+        dz = np.concatenate([[0.0, -1.3, 1e-3, 50.0], rng.uniform(-5.0, 5.0, 200)])
+        arrays = susceptibilities(dz, 0.7, CFG)
+        scalars = [susceptibilities(float(d), 0.7, CFG) for d in dz]
+        assert all(type(c) is complex for triple in scalars for c in triple)
+        for array, column in zip(arrays, zip(*scalars), strict=True):
+            assert np.array(column).tobytes() == array.tobytes()
+
     def test_cross_coupling_alive_at_finite_detuning_without_gate(self):
         _, _, chi_c = free_susceptibilities(0.5, CFG)
         assert abs(chi_c) > 1e-3
@@ -321,7 +331,10 @@ class TestNu:
         assert arr.shape == (2, 4)
         for i, x in enumerate(xs[:, 0]):
             for j, z in enumerate(zs):
-                assert arr[i, j] == nu(float(z), float(x), SCALES)
+                # a Python complex with the bits of the array element
+                scalar = nu(float(z), float(x), SCALES)
+                assert type(scalar) is complex
+                assert np.complex128(scalar).tobytes() == arr[i, j].tobytes()
 
 
 class TestNuInfinity:
