@@ -28,11 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_model import PhysicalConfig, derive_scales
+from .core_model import PhysicalConfig, _check_count, _check_grid, _check_values, derive_scales
 from .errors import PolsimError, SchemaError
-from .fidelity import _masked_gate_baseline, fidelity_report, switch_fidelities
-from .polariton_spectrum import REGIMES, composition, default_k_grid, spectrum
+from .fidelity import _check_durations, _masked_gate_baseline, fidelity_report, switch_fidelities
+from .polariton_spectrum import REGIMES, _check_k_grid_inputs, composition, default_k_grid, spectrum
 from .propagation import (
+    _check_width_inputs,
     _magnitude,
     _width_fit,
     cw_analytic,
@@ -41,13 +42,21 @@ from .propagation import (
     t0_spectrum,
     transparency_width_study,
 )
-from .spinwave import blockade_loss_baseline, evolve_cw, initial_sine_mode, retrieval_eta
+from .spinwave import (
+    _MIN_SAMPLES, blockade_loss_baseline, evolve_cw, initial_sine_mode, retrieval_eta,
+)
 
 __all__ = ["TASKS", "run", "main"]
 
 _PHYSICAL_KEYS = ("G", "Omega", "OmegaS", "gamma", "phi", "c", "C6", "L", "x_gate")
 
-_SCAN_OBSERVABLES = ("transparency_width", "cw_point")
+# the columns each scan observable writes after the scanned value
+_SCAN_COLUMNS = {
+    "transparency_width": ("fitted_width (rad/s)", "predicted_width (rad/s)",
+                           "rel_error (dimensionless)"),
+    "cw_point": ("abs_T1 (amplitude)", "abs_T1_sq (power)", "abs_R1 (amplitude)",
+                 "abs_R1_sq (power)", "loss_A (fraction)"),
+}
 
 # tasks whose numbers come from scipy's adaptive quad_vec (the spin-wave
 # map); the others never load scipy
@@ -72,55 +81,23 @@ def _check_keys(obj: dict, required, optional, where: str) -> None:
         raise SchemaError(f"missing required key(s) in {where}: {', '.join(missing)}")
 
 
-def _finite(value) -> bool:
-    """Whether a JSON value is a finite number (JSON reads 1e400 as inf)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return False
+def _number(params: dict, key: str, sign: str = "") -> float:
+    return _check_values(f"task_params.{key}", params[key], sign, SchemaError)
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
-    if not _finite(value):
-        raise SchemaError(f"{where}.{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(params: dict, key: str, minimum: int = 1) -> int:
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"task_params.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise SchemaError(f"task_params.{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _number_list(params: dict, key: str) -> list[float]:
-    values = params[key]
-    if not isinstance(values, list) or not values or not all(map(_finite, values)):
-        raise SchemaError(f"task_params.{key} must be a nonempty list of finite numbers")
-    return sorted(float(v) for v in values)
+def _choice(params: dict, key: str, choices: tuple):
+    if params[key] not in choices:
+        raise SchemaError(f"task_params.{key} must be one of {choices}, got {params[key]!r}")
+    return params[key]
 
 
 def _grid(params: dict, name: str, n_key: str, positive: bool = False) -> np.ndarray:
-    lo = _number(params, f"{name}_min", "task_params")
-    hi = _number(params, f"{name}_max", "task_params")
-    n = _integer(params, n_key, minimum=2)
-    if not lo < hi or (positive and lo <= 0.0):
-        bound = "0 < " if positive else ""
-        raise SchemaError(f"task_params must satisfy {bound}{name}_min < {name}_max")
+    lo = _number(params, f"{name}_min", "positive" if positive else "")
+    hi = _number(params, f"{name}_max")
+    n = _check_count(f"task_params.{n_key}", params[n_key], 2, SchemaError)
+    if not lo < hi:
+        raise SchemaError(f"task_params must satisfy {name}_min < {name}_max, got {lo!r}, {hi!r}")
     return np.linspace(lo, hi, n)
-
-
-def _resolve_params(task: str, raw: dict) -> dict:
-    _, required, optional = _TASKS[task]
-    _check_keys(raw, required, optional, f"task_params ({task})")
-    params = dict(optional)
-    params.update(raw)
-    return params
 
 
 def _apply_override(raw: dict, assignment: str) -> None:
@@ -242,15 +219,9 @@ def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:
 # manifest_extras) and touches no file
 
 def _run_spectrum(cfg, scales, params):
-    regime = params["regime"]
-    if regime not in REGIMES:
-        raise SchemaError(f"task_params.regime must be one of {REGIMES}, got {regime!r}")
-    kmax = _number(params, "kmax_labs", "task_params")
-    if kmax <= 0.0:
-        raise SchemaError(f"task_params.kmax_labs must be positive, got {kmax!r}")
-    n_k = _integer(params, "n_k", minimum=3)
-    if n_k % 2 == 0:
-        raise SchemaError(f"task_params.n_k must be odd so the grid holds k = 0, got {n_k}")
+    regime = _choice(params, "regime", REGIMES)
+    names = ("task_params.kmax_labs", "task_params.n_k")
+    kmax, n_k = _check_k_grid_inputs(params["kmax_labs"], params["n_k"], SchemaError, names)
     branches = spectrum(default_k_grid(cfg, kmax_labs=kmax, n=n_k), regime, cfg)
     sizes = [branch.k_samples.size for branch in branches]
     omega = np.concatenate([branch.omega for branch in branches])
@@ -294,7 +265,7 @@ def _run_t0(cfg, scales, params):
 
 
 def _run_propagate(cfg, scales, params):
-    omega = _number(params, "omega", "task_params")
+    omega = _number(params, "omega")
     if omega == 0.0:
         result = cw_analytic(cfg.x_gate, cfg)
     else:
@@ -339,7 +310,7 @@ def _run_cw(cfg, scales, params):
 
 
 def _run_spinwave(cfg, scales, params):
-    n = _integer(params, "n_samples", minimum=64)
+    n = _check_count("task_params.n_samples", params["n_samples"], _MIN_SAMPLES, SchemaError)
     rho0 = initial_sine_mode(cfg.L, n)
     evolved = evolve_cw(rho0, cfg)
 
@@ -367,13 +338,14 @@ def _run_spinwave(cfg, scales, params):
 
 def _run_fidelity(cfg, scales, params):
     dbs = _grid(params, "d_b", "n_db", positive=True)
-    n_samples = _integer(params, "n_samples", minimum=64)
+    n = _check_count("task_params.n_samples", params["n_samples"], _MIN_SAMPLES, SchemaError)
     durations = ()
     omega_grid = None
     if params["durations"] is not None:
-        durations = tuple(_number_list(params, "durations"))
-        if not all(d > 0.0 for d in durations):
-            raise SchemaError("task_params.durations must be positive")
+        name = "task_params.durations"
+        durations = tuple(sorted(_check_durations(params["durations"], SchemaError, name).tolist()))
+        if not durations:
+            raise SchemaError(f"{name} must be nonempty, or null for no pulses")
         for key in ("omega_min", "omega_max", "n_omega"):
             if params[key] is None:
                 raise SchemaError(f"task_params.{key} is required when durations are given")
@@ -391,9 +363,7 @@ def _run_fidelity(cfg, scales, params):
         "f_gate_blockade_baseline (fidelity, masked below d_b=6)",
         "f_classical_blockade_baseline (fidelity)",
     ]
-    report = fidelity_report(
-        cfg, durations=durations, omega_grid=omega_grid, n_samples=n_samples
-    )
+    report = fidelity_report(cfg, durations=durations, omega_grid=omega_grid, n_samples=n)
     payload = dataclasses.asdict(report)
     payload["f_pulse"] = {format(k, ".17g"): v for k, v in report.f_pulse.items()}
     artifacts = {
@@ -409,44 +379,23 @@ def _run_fidelity(cfg, scales, params):
 
 
 def _run_scan(cfg, scales, params):
-    parameter = params["parameter"]
-    if parameter not in _PHYSICAL_KEYS:
-        raise SchemaError(
-            f"task_params.parameter must be one of {_PHYSICAL_KEYS}, got {parameter!r}"
-        )
-    observable = params["observable"]
-    if observable not in _SCAN_OBSERVABLES:
-        raise SchemaError(
-            f"task_params.observable must be one of {_SCAN_OBSERVABLES}, got {observable!r}"
-        )
-    values = _number_list(params, "values")
-    rel_window = _number(params, "rel_window", "task_params")
-    if not 0.0 < rel_window <= 1.0:
-        raise SchemaError(f"task_params.rel_window must be in (0, 1], got {rel_window!r}")
-    n_omega = _integer(params, "n_omega", minimum=7)
+    parameter = _choice(params, "parameter", _PHYSICAL_KEYS)
+    observable = _choice(params, "observable", tuple(_SCAN_COLUMNS))
+    values = sorted(_check_grid("task_params.values", params["values"], error=SchemaError).tolist())
+    rel_window, n_omega = _check_width_inputs(
+        params["rel_window"], params["n_omega"], SchemaError,
+        ("task_params.rel_window", "task_params.n_omega"),
+    )
 
-    if observable == "transparency_width":
-        def one(value):
-            sub = dataclasses.replace(cfg, **{parameter: value})
+    def one(value):
+        sub = dataclasses.replace(cfg, **{parameter: value})
+        if observable == "transparency_width":
             fit = transparency_width_study(sub, rel_window=rel_window, n=n_omega)
             return (value, fit.fitted, fit.predicted, fit.rel_error)
+        res = cw_analytic(sub.x_gate, sub)
+        return value, *_magnitude(res.transmission), *_magnitude(res.reflection), res.absorption
 
-        header = [
-            f"{parameter} (config units)", "fitted_width (rad/s)",
-            "predicted_width (rad/s)", "rel_error (dimensionless)",
-        ]
-    else:
-        def one(value):
-            sub = dataclasses.replace(cfg, **{parameter: value})
-            res = cw_analytic(sub.x_gate, sub)
-            return value, *_magnitude(res.transmission), *_magnitude(res.reflection), res.absorption
-
-        header = [
-            f"{parameter} (config units)",
-            "abs_T1 (amplitude)", "abs_T1_sq (power)",
-            "abs_R1 (amplitude)", "abs_R1_sq (power)", "loss_A (fraction)",
-        ]
-
+    header = [f"{parameter} (config units)", *_SCAN_COLUMNS[observable]]
     columns = [np.array(c) for c in zip(*map(one, values))]
     extras = {"parameter": parameter, "observable": observable}
     return {"scan.csv": _csv_text(header, columns)}, extras
@@ -535,14 +484,16 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
 
     physical = _require_mapping(raw["physical"], "physical")
     _check_keys(physical, set(_PHYSICAL_KEYS), set(), "physical")
-    numbers = {key: _number(physical, key, "physical") for key in _PHYSICAL_KEYS}
     try:
-        cfg = PhysicalConfig(**numbers)
+        cfg = PhysicalConfig(**physical)
         scales = derive_scales(cfg)
     except ValueError as exc:
         raise SchemaError(f"physical: {exc}") from exc
 
-    params = _resolve_params(task, _require_mapping(raw.get("task_params", {}), "task_params"))
+    raw_params = _require_mapping(raw.get("task_params", {}), "task_params")
+    _, required, optional = _TASKS[task]
+    _check_keys(raw_params, required, optional, f"task_params ({task})")
+    params = {**optional, **raw_params}
 
     outdir = out_override or raw.get("output_dir", ".")
     if not isinstance(outdir, (str, os.PathLike)):
@@ -567,7 +518,8 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
         "task": task,
         "timestamp": timestamp,
         "config": {
-            "physical": numbers,
+            # the floats PhysicalConfig stored, with phi as given, not modulo 2 pi
+            "physical": {**dataclasses.asdict(cfg), "phi": float(physical["phi"])},
             "task": task,
             "task_params": params,
             "output_dir": str(outdir),

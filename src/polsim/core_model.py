@@ -77,12 +77,11 @@ class PhysicalConfig:
     x_gate: float
 
     def __post_init__(self):
+        # stored as Python floats; phi modulo 2*pi, as it only enters as exp(+-1j*phi)
         for name in ("G", "Omega", "OmegaS", "gamma", "c", "C6", "L"):
-            _check_values(name, getattr(self, name), "positive")
-        _check_values("phi", self.phi)
-        _check_in_medium("x_gate", self.x_gate, self.L)
-        # Normalize the control phase; it only ever appears as exp(+-1j*phi).
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+            object.__setattr__(self, name, _check_values(name, getattr(self, name), "positive"))
+        object.__setattr__(self, "phi", _check_values("phi", self.phi) % TWO_PI)
+        object.__setattr__(self, "x_gate", _check_in_medium("x_gate", self.x_gate, self.L))
 
 
 @dataclass(frozen=True)
@@ -205,71 +204,99 @@ def gaussian_pulse_spectrum(duration: float, omega_grid: np.ndarray) -> PulseSpe
 
 
 # the sign rules of ``_check_values``, each true where an entry obeys it
-_SIGNS = {"": lambda v: True, "positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0}
+_SIGNS = {"": lambda v: True, "positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
+          "in (0, 1]": lambda v: (v > 0.0) & (v <= 1.0)}
 
 
-def _check_values(name: str, value, sign: str = "", error=ValueError, array=False) -> None:
-    """Raise ``error`` unless ``value``, a real number (or, where ``array``, an
-    array of them), is finite and obeys ``sign``.
-
-    ``sign`` is "", "positive" or "nonnegative".  A valid Python float takes
-    ``math.isfinite`` and one comparison, no numpy.
+def _check_values(name: str, value, sign: str = "", error=ValueError, array=False):
+    """``value``, a real number (or, where ``array``, an array of them), as a
+    Python float if it is one number and a float array if not; raises
+    ``error`` unless it is finite and obeys ``sign``, a key of ``_SIGNS``.
+    A valid Python float takes ``math.isfinite`` and one comparison, no numpy.
     """
     if isinstance(value, float) and math.isfinite(value) and _SIGNS[sign](value):
-        return
-    value = _real_array(name, value, error, array)
-    ok = np.isfinite(value) & _SIGNS[sign](value)
-    _refuse(name, f"{sign} and finite" if sign else "finite", value, ok, error)
+        return float(value)
+    values = _real_array(name, value, error, array)
+    ok = np.isfinite(values) & _SIGNS[sign](values)
+    _refuse(name, f"{sign} and finite" if sign else "finite", values, ok, error)
+    return values if values.ndim else float(values)
 
 
-def _check_in_medium(name: str, value, length: float, error=ValueError, array=False) -> None:
-    """Raise ``error`` naming the first entry of ``value`` outside the medium [0, ``length``].
+def _check_in_medium(name: str, value, length: float, error=ValueError, array=False):
+    """``value`` as ``_check_values`` returns it; raises ``error`` naming the first
+    entry outside the medium [0, ``length``].
 
     nan lies outside.  A valid Python float takes two comparisons, no numpy.
     """
     if isinstance(value, float) and 0.0 <= value <= length:
-        return
-    value = _real_array(name, value, error, array)
-    ok = (value >= 0.0) & (value <= length)
-    _refuse(name, f"in the medium [0, {float(length)!r}]", value, ok, error)
+        return float(value)
+    values = _real_array(name, value, error, array)
+    ok = (values >= 0.0) & (values <= length)
+    _refuse(name, f"in the medium [0, {float(length)!r}]", values, ok, error)
+    return values if values.ndim else float(values)
+
+
+def _check_count(name: str, value, minimum: int, error=ValueError, odd=False) -> int:
+    """``value`` as an int; raises ``error`` unless it is an integer (no bool)
+    of ``minimum`` or more, and odd where ``odd``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value >= minimum and (value % 2 or not odd):
+            return int(value)
+    rule = f"an {'odd ' if odd else ''}integer of {minimum} or more"
+    raise error(f"{name} must be {rule}, got {reprlib.repr(value)}")
 
 
 def _real_array(name: str, value, error, array: bool) -> np.ndarray:
     """``value`` as a float array of real numbers, 0-d unless ``array``, or raise ``error``.
 
-    A Python integer beyond the float range becomes an infinity of its sign.
+    A bool is no number; an integer beyond the float range is an infinity.
     """
-    if isinstance(value, int):
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf if value > 0 else -math.inf
-    values = np.asarray(value)
-    if values.dtype.kind not in "biuf":
+    try:
+        values = np.asarray(_ints_as_floats(value))
+    except ValueError:  # lists nested to unequal depths
+        values = np.asarray(None)
+    if values.dtype.kind not in "iuf":
         raise error(f"{name} must be real, got {reprlib.repr(value)}")
     if values.ndim and not array:
         raise error(f"{name} must be one number, got an array of shape {values.shape}")
     return values.astype(float, copy=False)
 
 
-def _numbers(values: tuple, scalar: bool) -> tuple:
-    """``values``, or where ``scalar`` each array's one element as a Python number of its bits."""
-    return tuple(np.ravel(v)[0].item() for v in values) if scalar else values
+def _ints_as_floats(value):
+    """``value`` with each Python int, in lists and tuples too, as a float (an
+    infinity of its sign beyond the float range) and each bool as None."""
+    if isinstance(value, (list, tuple)):
+        return [_ints_as_floats(v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None if isinstance(value, bool) else value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _check_grid(name: str, grid, min_size: int = 1, increasing: bool = False) -> np.ndarray:
-    """``grid`` as a float array, checked to be 1-d with ``min_size`` or more points.
+def _scalar(*inputs) -> bool:
+    """Whether a call's inputs are all one number, so their broadcast shape is ()."""
+    return not any(map(np.ndim, inputs))
 
-    Raises GridError unless every point is finite and, where ``increasing``,
-    above the one before.
-    """
-    grid = _real_array(name, grid, GridError, array=True)
+
+def _numbers(values: tuple, *inputs) -> tuple:
+    """``values``, or where ``_scalar(*inputs)`` each array's one element as a
+    Python number of its bits."""
+    return tuple(np.ravel(v)[0].item() for v in values) if _scalar(*inputs) else values
+
+
+def _check_grid(name: str, grid, min_size=1, increasing=False, sign="", error=GridError):
+    """``grid`` as a float array; raises ``error`` unless it is 1-d with ``min_size``
+    or more points, each finite, obeying ``sign`` and, where ``increasing``,
+    above the one before."""
+    grid = _real_array(name, grid, error, array=True)
     if grid.ndim != 1 or grid.size < min_size:
         rule = f"one-dimensional with {min_size} or more points, got shape {grid.shape}"
-        raise GridError(f"{name} must be {rule}")
-    _check_values(name, grid, error=GridError, array=True)
+        raise error(f"{name} must be {rule}")
+    _check_values(name, grid, sign, error, array=True)
     if increasing:
-        _refuse(name, "strictly increasing", grid, np.r_[True, np.diff(grid) > 0.0], GridError)
+        _refuse(name, "strictly increasing", grid, np.r_[True, np.diff(grid) > 0.0], error)
     return grid
 
 

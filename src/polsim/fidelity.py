@@ -19,6 +19,7 @@ import numpy as np
 from .core_model import (
     PhysicalConfig,
     PulseSpec,
+    _check_count,
     _check_grid,
     _check_values,
     _numbers,
@@ -27,7 +28,7 @@ from .core_model import (
 )
 from .errors import GridError
 from .propagation import _magnitude, cw_analytic, cw_bulk_coefficients, solve_bvp
-from .spinwave import evolve_cw, initial_sine_mode, retrieval_eta
+from .spinwave import _MIN_SAMPLES, evolve_cw, initial_sine_mode, retrieval_eta
 
 __all__ = [
     "PI_PHASE_MIN_DB",
@@ -71,7 +72,7 @@ def switch_fidelities(d_b) -> SwitchFidelities:
     t, r, _ = cw_bulk_coefficients(d_b)
     quantum = _magnitude(r)[1]
     fidelities = (1.0 - _magnitude(t)[1], quantum, quantum)
-    return SwitchFidelities._make(_numbers(fidelities, np.ndim(d_b) == 0))
+    return SwitchFidelities._make(_numbers(fidelities, d_b))
 
 
 def blockade_gate_baseline(d_b: float) -> float:
@@ -114,20 +115,15 @@ def pulse_router_fidelity(pulse: PulseSpec, r1_spectrum: np.ndarray) -> float:
     """
     r1 = np.asarray(r1_spectrum, dtype=complex)
     if r1.shape != pulse.omega_grid.shape:
-        raise GridError(
-            f"reflection spectrum shape {r1.shape} does not match the "
-            f"pulse grid shape {pulse.omega_grid.shape}"
-        )
+        shapes = f"{pulse.omega_grid.shape}, got shape {r1.shape}"
+        raise GridError(f"r1_spectrum must have the pulse grid's shape {shapes}")
     w = pulse.weights()
     return float(abs(np.sum(w * r1 * np.abs(pulse.amplitudes) ** 2)))
 
 
-def _config_at_db(d_b: float, config: PhysicalConfig) -> PhysicalConfig:
-    # move the operating point by rescaling the collective coupling at fixed
-    # interaction radius: d_b = z_b G**2 / (c gamma)
-    scales = derive_scales(config)
-    g_new = math.sqrt(d_b * config.c * config.gamma / scales.z_b)
-    return replace(config, G=g_new)
+def _check_durations(durations, error=ValueError, name="durations"):
+    """``durations`` as a 1-d float array, each entry checked positive and finite."""
+    return _check_grid(name, durations, min_size=0, sign="positive", error=error)
 
 
 def transistor_fidelity(d_b: float, config: PhysicalConfig) -> float:
@@ -142,7 +138,9 @@ def transistor_fidelity(d_b: float, config: PhysicalConfig) -> float:
     L = 5 blockade radii).
     """
     _check_values("d_b", d_b, "positive")
-    return fidelity_report(_config_at_db(d_b, config)).f_transistor
+    # d_b = z_b G**2 / (c gamma) at the fixed interaction radius z_b
+    g = math.sqrt(d_b * config.c * config.gamma / derive_scales(config).z_b)
+    return fidelity_report(replace(config, G=g)).f_transistor
 
 
 def timing_estimates(config: PhysicalConfig) -> TimingEstimates:
@@ -198,9 +196,14 @@ def fidelity_report(
 
     When ``durations`` is nonempty, a shared reflection spectrum is computed
     on ``omega_grid`` (required in that case) and overlapped with a Gaussian
-    pulse per duration.  The dispersive gate baseline is reported only at
-    feasible depths (d_b >= PI_PHASE_MIN_DB), None otherwise.
+    pulse per duration; all inputs are checked before any of it runs.  The
+    dispersive gate baseline is reported only at feasible depths
+    (d_b >= PI_PHASE_MIN_DB), None otherwise.
     """
+    n_samples = _check_count("n_samples", n_samples, _MIN_SAMPLES, GridError)
+    if _check_durations(durations).size and omega_grid is None:
+        raise GridError("omega_grid is required when durations are given")
+    pulses = {d: gaussian_pulse_spectrum(d, omega_grid) for d in durations}
     d_b = derive_scales(config).d_b
     switches = switch_fidelities(d_b)
     baseline = _masked_gate_baseline(d_b)
@@ -208,14 +211,8 @@ def fidelity_report(
     # the half-sine stored mode after CW scattering, in its best retrievable mode
     eta = retrieval_eta(evolve_cw(initial_sine_mode(config.L, n_samples), config))
 
-    pulse_f: dict[float, float] = {}
-    if durations:
-        if omega_grid is None:
-            raise GridError("omega_grid is required when durations are given")
-        r1 = reflection_spectrum(omega_grid, config)
-        for duration in durations:
-            pulse = gaussian_pulse_spectrum(duration, omega_grid)
-            pulse_f[duration] = pulse_router_fidelity(pulse, r1)
+    r1 = reflection_spectrum(omega_grid, config) if pulses else None
+    pulse_f = {d: pulse_router_fidelity(pulse, r1) for d, pulse in pulses.items()}
 
     timing = timing_estimates(config)
     return FidelityReport(

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import PhysicalConfig, _check_grid, _check_values, _numbers, derive_scales
+from .core_model import (
+    PhysicalConfig, _check_count, _check_grid, _check_values, _numbers, derive_scales,
+)
 from .errors import FitWindowError, FitWindowWarning, GridError
 
 __all__ = [
@@ -59,8 +61,7 @@ def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    _check_values("k", k, array=True)
-    k = np.asarray(k, dtype=float)
+    k = np.asarray(_check_values("k", k, array=True))
 
     G, Om, OmS = config.G, config.Omega, config.OmegaS
     ck = config.c * k
@@ -120,20 +121,16 @@ class PolaritonBranch:
 
 
 def default_k_grid(config: PhysicalConfig, kmax_labs: float = 2.0, n: int = 401) -> np.ndarray:
-    """Symmetric momentum grid spanning ``k * l_abs`` in [-kmax, kmax]."""
+    """Symmetric grid of ``n`` (odd, >= 3) momenta spanning ``k * l_abs`` in [-kmax, kmax]."""
+    kmax_labs, n = _check_k_grid_inputs(kmax_labs, n)
     scales = derive_scales(config)
     return np.linspace(-kmax_labs, kmax_labs, n) / scales.l_abs
 
 
-def _validate_k_grid(k_grid: np.ndarray) -> int:
-    _check_grid("k_grid", k_grid, min_size=3, increasing=True)
-    kmax = float(np.max(np.abs(k_grid)))
-    if not np.allclose(k_grid, -k_grid[::-1], atol=1e-12 * max(kmax, 1e-300)):
-        raise GridError("k_grid must be symmetric about zero")
-    i0 = int(np.argmin(np.abs(k_grid)))
-    if abs(k_grid[i0]) > 1e-12 * max(kmax, 1e-300):
-        raise GridError("k_grid must contain k = 0 for dark-branch classification")
-    return i0
+def _check_k_grid_inputs(kmax_labs, n, error=ValueError, names=("kmax_labs", "n")):
+    """``(kmax_labs, n)``, refused by ``names`` unless positive and finite, and odd and >= 3."""
+    kmax_labs = _check_values(names[0], kmax_labs, "positive", error)
+    return kmax_labs, _check_count(names[1], n, 3, error, odd=True)
 
 
 def _assignment(overlap: np.ndarray):
@@ -176,8 +173,13 @@ def spectrum(
     Near-ties between overlaps are reported as warnings carrying the
     offending momentum, the k > 0 side first, each side from k = 0 outward.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
-    i0 = _validate_k_grid(k_grid)
+    k_grid = _check_grid("k_grid", k_grid, min_size=3, increasing=True)
+    atol = 1e-12 * max(float(np.max(np.abs(k_grid))), 1e-300)
+    if not np.allclose(k_grid, -k_grid[::-1], atol=atol):
+        raise GridError("k_grid must be symmetric about zero")
+    i0 = int(np.argmin(np.abs(k_grid)))
+    if abs(k_grid[i0]) > atol:
+        raise GridError("k_grid must contain k = 0 for dark-branch classification")
     scales = derive_scales(config)
     vals, vecs = np.linalg.eig(build_bloch_matrix(k_grid, regime, config))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -224,13 +226,15 @@ def composition(eigenvector: np.ndarray):
     them along the last axis, giving arrays over the leading axes.
     """
     v = np.asarray(eigenvector, dtype=np.complex128)
+    if not v.ndim:
+        raise ValueError("eigenvector must be a vector or a stack of them, got shape ()")
     # sum of |v|**2 by the BLAS dot product that np.vdot(v, v) uses
     norm2 = (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
     if np.any(norm2 == 0.0):
         raise ValueError("eigenvector must be nonzero")
     p = np.abs(v) ** 2 / norm2[..., None]
     fractions = p[..., 0], p[..., 1], np.sum(p[..., 2:], axis=-1)
-    return _numbers(fractions, v.ndim == 1)
+    return _numbers(fractions, v[..., 0])
 
 
 @dataclass(frozen=True)

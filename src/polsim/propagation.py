@@ -47,7 +47,10 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core_model import _check_grid, _check_in_medium, _check_values, _numbers, derive_scales
+from .core_model import (
+    _check_count, _check_grid, _check_in_medium, _check_values, _numbers, _real_array, _scalar,
+    derive_scales,
+)
 from .errors import FitWindowError, IllConditionedError, QuadratureError
 from .susceptibility import (
     NU_INFINITY,
@@ -140,17 +143,22 @@ def propagation_matrix(z, x, omega, config):
     """Coefficient matrix M with i d(E_right, E_left)/d zeta = M (E_right, E_left).
 
     Structure ``[[chi_r, chi_c e^{i phi}], [-chi_c e^{-i phi}, chi_l]]``,
-    per unit zeta = z / z_b.  ``z`` may be a scalar or array of physical
-    positions; the returned array has shape ``z.shape + (2, 2)``, and a
-    scalar ``z`` gives the bits of the matching array element.  ``omega``
-    must be nonzero: ``omega == 0`` raises ``SingularFrequencyError``, and
-    the zero-frequency scattering is ``cw_analytic``.
+    per unit zeta = z / z_b.  The positions ``z``, ``x`` and the frequency
+    ``omega`` are real scalars or arrays that broadcast; the result has their
+    broadcast shape + (2, 2), and scalars give the bits of the matching array
+    element.  ``omega == 0`` raises ``SingularFrequencyError``: the
+    zero-frequency scattering is ``cw_analytic``.
     """
-    dz = np.atleast_1d(np.asarray(z, dtype=float)) - x
-    chi = susceptibilities(dz, omega, config)
-    m = np.empty(dz.shape + (2, 2), dtype=np.complex128)
+    x = _check_values("x", x, array=True)
+    z = _real_array("z", z, ValueError, array=True)
+    try:  # susceptibilities checks the separations, so z is checked once
+        chi = susceptibilities(np.atleast_1d(z - x), omega, config)
+    except ValueError:
+        _check_values("z", z, array=True)  # refuses a bad z by its own name
+        raise
+    m = np.empty(chi[0].shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = _matrix_entries(*chi, config.phi)
-    return m[0] if np.ndim(z) == 0 else m
+    return m[0] if _scalar(z, x, omega) else m
 
 
 def _matrix_entries(chi_r, chi_l, chi_c, phi):
@@ -294,8 +302,8 @@ def solve_bvp(omega, x, config):
     be finite and nonzero: ``omega == 0`` raises ``SingularFrequencyError``,
     and the zero-frequency scattering is ``cw_analytic``.
     """
-    _check_values("omega", omega)
-    _check_in_medium("x", x, config.L)
+    omega = _check_values("omega", omega)
+    x = _check_in_medium("x", x, config.L)
     scales = derive_scales(config)
 
     def level_steps(*grids):
@@ -444,9 +452,8 @@ def cw_bulk_coefficients(d_b, phi=0.0):
     integral saturated at its infinite-medium value.  ``d_b >= 0`` may be a
     scalar or an array; the results match its shape (exactly (1, 0, 0) at 0).
     """
-    _check_values("d_b", d_b, "nonnegative", array=True)
+    d_b = np.asarray(_check_values("d_b", d_b, "nonnegative", array=True))
     _check_values("phi", phi)
-    d_b = np.asarray(d_b, dtype=float)
     return _cw_coefficients(NU_INFINITY.real * d_b, NU_INFINITY.imag * d_b, phi)
 
 
@@ -467,7 +474,7 @@ def _cw_coefficients(nu_re, nu_im, phi):
     t = 1.0 / denom + 1j * (-ratio / denom)
     r = (a_re + a_im * ratio) / denom + 1j * ((a_im - a_re * ratio) / denom)
     loss = 1.0 - _magnitude(t)[1] - _magnitude(r)[1]
-    return _numbers((t, r, loss), np.ndim(loss) == 0)
+    return _numbers((t, r, loss), nu_re, nu_im)
 
 
 def _magnitude(z):
@@ -586,13 +593,16 @@ def transparency_width_study(config, rel_window=1e-3, n=21) -> WidthFit:
     term between the two photon modes that dephases at larger detunings,
     and the closed-form width only captures the true zero-frequency limit.
     """
-    if not 0.0 < rel_window <= 1.0:
-        raise ValueError("rel_window must be in (0, 1]")
-    if n < 7:
-        raise ValueError("need at least 7 samples")
+    rel_window, n = _check_width_inputs(rel_window, n)
     predicted = derive_scales(config).delta_omega0
     grid = np.linspace(-rel_window * predicted, rel_window * predicted, n)
     return _width_fit(t0_spectrum(grid, config), predicted)
+
+
+def _check_width_inputs(rel_window, n, error=ValueError, names=("rel_window", "n")):
+    """``(rel_window, n)``, refused by ``names`` unless in (0, 1] and an integer >= 7."""
+    rel_window = _check_values(names[0], rel_window, "in (0, 1]", error)
+    return rel_window, _check_count(names[1], n, 7, error)
 
 
 def _width_fit(t0_results: T0Spectrum, predicted: float) -> WidthFit:

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import (
-    PhysicalConfig, _check_in_medium, _check_values, _numbers, derive_scales, trapezoid_weights,
+    PhysicalConfig, _check_count, _check_in_medium, _check_values, _numbers, _real_array,
+    derive_scales, trapezoid_weights,
 )
 from .errors import GridError, PositivityWarning, QuadratureError
 from .propagation import _cw_coefficients
@@ -36,6 +37,9 @@ __all__ = [
 # eigenvalues of the weighted matrix below -PSD_SLACK * trace trigger a
 # PositivityWarning; finite grids legitimately wobble at the 1e-8 level
 PSD_SLACK = 1e-8
+
+# fewest samples that resolve the half-sine mode of ``initial_sine_mode``
+_MIN_SAMPLES = 64
 
 # grid pairs per quad_vec call: quad_vec keeps every subinterval's vector,
 # so one call over all pairs of a 256-point map held 141 MB more at peak
@@ -56,12 +60,12 @@ class SpinWaveDensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        object.__setattr__(self, "grid", _real_array("grid", self.grid, GridError, array=True))
         # trapezoid_weights checks the grid
         n = self.weights.size
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (n, n):
-            raise GridError(f"density matrix shape {rho.shape} does not match grid size {n}")
+            raise GridError(f"rho must have the grid's shape {(n, n)}, got shape {rho.shape}")
         object.__setattr__(self, "rho", rho)
 
     @cached_property
@@ -98,8 +102,7 @@ def initial_sine_mode(L: float, N: int = 256) -> SpinWaveDensityMatrix:
     at the medium center and vanishes at the walls, which keeps the state
     clear of boundary effects for L of a few blockade radii.
     """
-    if N < 64:
-        raise GridError(f"need at least 64 samples to resolve the mode, got {N}")
+    N = _check_count("N", N, _MIN_SAMPLES, GridError)
     _check_values("L", L, "positive")
     grid = np.linspace(0.0, L, N)
     psi = np.sin(np.pi * grid / L).astype(complex)
@@ -216,9 +219,8 @@ def blockade_loss_baseline(d_b):
     few, the benchmark the coherent-switching loss A is compared against.
     ``d_b`` may be a scalar or an array; the result matches its shape.
     """
-    _check_values("d_b", d_b, "nonnegative", array=True)
-    loss = -np.expm1(-4.0 * np.asarray(d_b, dtype=float))
-    return _numbers((loss,), loss.ndim == 0)[0]
+    loss = -np.expm1(-4.0 * _check_values("d_b", d_b, "nonnegative", array=True))
+    return _numbers((loss,), d_b)[0]
 
 
 def retrieval_eta(dm: SpinWaveDensityMatrix) -> float:

@@ -45,11 +45,16 @@ _POLE_REL_TOL = 1e-13
 def xi(omega, config: PhysicalConfig):
     """Single-pole response ``omega + 1j*gamma - Omega**2 / omega``.
 
-    ``omega`` may be a scalar or an array.  Diverges as omega -> 0: resonant
-    probe light is pushed into the dark state and the perturbative inversion
-    of the atomic response fails, which is why the CW limit has its own
-    closed form.
+    ``omega`` is a real frequency or an array of them; a scalar gives a
+    Python ``complex`` with the bits of the matching array element.
+    Diverges as omega -> 0: resonant probe light is pushed into the dark
+    state and the perturbative inversion of the atomic response fails,
+    which is why the CW limit has its own closed form.
     """
+    return _xi(_check_values("omega", omega, array=True), config)
+
+
+def _xi(omega, config):
     if np.equal(omega, 0.0).any():
         raise SingularFrequencyError(
             "the finite-frequency response is singular at omega = 0; "
@@ -73,9 +78,9 @@ def _chi_arrays(dz, omega, config, scales):
     has a pole that cancels.  The pole check is the unscaled one with both
     sides multiplied by ``p``.
     """
-    x = xi(omega, config)
+    x = _xi(omega, config)
     om2 = config.Omega**2
-    om4_w2 = om2**2 / omega**2
+    om4_w2 = om2**2 / (omega * omega)
     g2_c = config.G**2 / config.c
 
     V = _vdw_or_inf(dz, config)
@@ -120,33 +125,36 @@ def _vdw_or_inf(dz, config):
         return config.C6 / _sixth_power(np.asarray(dz, dtype=float))
 
 
-def susceptibilities(dz, omega: float, config: PhysicalConfig):
+def susceptibilities(dz, omega, config: PhysicalConfig):
     """Rescaled ``(chi_r, chi_l, chi_c)`` at separation ``dz`` from the gate.
 
-    ``dz`` may be a scalar or array of real separations, including 0 (taken
-    as the fully blockaded limit of the potential); the three arrays match
-    its shape, and a scalar gives three Python ``complex`` with the bits of
-    the matching array element.  ``omega`` must be nonzero; zero-frequency
-    scattering is ``cw_analytic``.
+    ``dz`` (real separations, 0 taken as the fully blockaded limit of the
+    potential) and ``omega`` (nonzero real frequencies) are scalars or
+    arrays that broadcast; the three arrays have their broadcast shape, and
+    scalars give three Python ``complex`` with the bits of the matching
+    array element.  Zero-frequency scattering is ``cw_analytic``.
 
     Raises
     ------
     SusceptibilityPoleError
         If the shared denominator vanishes; it names the first offending dz.
     """
+    dz = _check_values("dz", dz, array=True)
+    omega = _check_values("omega", omega, array=True)
     chi = _chi_arrays(np.atleast_1d(dz), omega, config, derive_scales(config))
-    return _numbers(chi, np.ndim(dz) == 0)
+    return _numbers(chi, dz, omega)
 
 
 def free_susceptibilities(omega, config: PhysicalConfig):
     """``(chi_r, chi_l, chi_c)`` of the gate-free medium (V identically zero).
 
-    ``omega`` may be a scalar or an array of nonzero frequencies; the three
-    arrays match its shape, and a scalar gives three Python ``complex`` with
-    the bits of the matching array element.
+    ``omega`` may be a scalar or an array of nonzero real frequencies; the
+    three arrays match its shape, and a scalar gives three Python
+    ``complex`` with the bits of the matching array element.
     """
+    omega = _check_values("omega", omega, array=True)
     chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, derive_scales(config))
-    return _numbers(chi, np.ndim(omega) == 0)
+    return _numbers(chi, omega)
 
 
 # The six roots r of r**6 = -2j and the partial-fraction weights of the CW
@@ -169,13 +177,12 @@ def nu(z, x, scales: DerivedScales):
     ``sum [log(b - r) - log(a - r)] / (6 r**5)``.  No root is real, so each
     principal log is continuous along the real axis.
     """
-    _check_values("z", z, "nonnegative", array=True)
-    _check_values("x", x, array=True)
-    lo = -np.asarray(x, dtype=float)[..., None] / scales.z_b
-    hi = np.asarray(z, dtype=float)[..., None] / scales.z_b + lo
+    z = _check_values("z", z, "nonnegative", array=True)
+    lo = -np.asarray(_check_values("x", x, array=True))[..., None] / scales.z_b
+    hi = np.asarray(z)[..., None] / scales.z_b + lo
     logs = np.log(hi - _KERNEL_ROOTS) - np.log(lo - _KERNEL_ROOTS)
     val = 1j * scales.d_b * np.sum(_KERNEL_WEIGHTS * logs, axis=-1)
-    return _numbers((val,), np.ndim(val) == 0)[0]
+    return _numbers((val,), z, x)[0]
 
 
 NU_INFINITY = (math.pi / 3.0) * (1.0 + 1.0j) ** (1.0 / 3.0)

@@ -421,6 +421,116 @@ class TestScanTask:
         assert all(float(r[3]) < 0.05 for r in rows[1:])
 
 
+# config errors whose stderr changed when the CLI began to check its numbers
+# through the library's rules: (task, section, key, JSON literal, the old
+# message, the new one); every other field is valid
+MESSAGES = [
+    ("cw", "physical", "G", "NaN",
+     "physical.G must be a finite number, got nan",
+     "physical: G must be positive and finite, got nan"),
+    ("cw", "physical", "G", "true",
+     "physical.G must be a finite number, got True", "physical: G must be real, got True"),
+    ("cw", "physical", "G", '"1"',
+     "physical.G must be a finite number, got '1'", "physical: G must be real, got '1'"),
+    ("cw", "physical", "G", "[1, 2]",
+     "physical.G must be a finite number, got [1, 2]",
+     "physical: G must be one number, got an array of shape (2,)"),
+    ("cw", "physical", "G", "1" + "0" * 400,
+     "physical.G must be a finite number, got 1000...",
+     "physical: G must be positive and finite, got inf"),
+    ("cw", "physical", "phi", "1e400",
+     "physical.phi must be a finite number, got inf", "physical: phi must be finite, got inf"),
+    ("propagate", "task_params", "omega", "NaN",
+     "task_params.omega must be a finite number, got nan",
+     "task_params.omega must be finite, got nan"),
+    ("propagate", "task_params", "omega", "false",
+     "task_params.omega must be a finite number, got False",
+     "task_params.omega must be real, got False"),
+    ("cw", "task_params", "d_b_max", "1" + "0" * 400,
+     "task_params.d_b_max must be a finite number, got 1000...",
+     "task_params.d_b_max must be finite, got inf"),
+    ("cw", "task_params", "d_b_min", "0.0",
+     "task_params must satisfy 0 < d_b_min < d_b_max",
+     "task_params.d_b_min must be positive and finite, got 0.0"),
+    ("cw", "task_params", "d_b_min", "20.0",
+     "task_params must satisfy 0 < d_b_min < d_b_max",
+     "task_params must satisfy d_b_min < d_b_max, got 20.0, 10.0"),
+    ("cw", "task_params", "n_db", "1",
+     "task_params.n_db must be >= 2, got 1",
+     "task_params.n_db must be an integer of 2 or more, got 1"),
+    ("cw", "task_params", "n_db", "2.5",
+     "task_params.n_db must be an integer, got 2.5",
+     "task_params.n_db must be an integer of 2 or more, got 2.5"),
+    ("spectrum", "task_params", "kmax_labs", "0",
+     "task_params.kmax_labs must be positive, got 0.0",
+     "task_params.kmax_labs must be positive and finite, got 0.0"),
+    ("spectrum", "task_params", "kmax_labs", "Infinity",
+     "task_params.kmax_labs must be a finite number, got inf",
+     "task_params.kmax_labs must be positive and finite, got inf"),
+    ("spectrum", "task_params", "n_k", "400",
+     "task_params.n_k must be odd so the grid holds k = 0, got 400",
+     "task_params.n_k must be an odd integer of 3 or more, got 400"),
+    ("spinwave", "task_params", "n_samples", "10",
+     "task_params.n_samples must be >= 64, got 10",
+     "task_params.n_samples must be an integer of 64 or more, got 10"),
+    ("fidelity", "task_params", "n_samples", "true",
+     "task_params.n_samples must be an integer, got True",
+     "task_params.n_samples must be an integer of 64 or more, got True"),
+    ("scan", "task_params", "rel_window", "2.0",
+     "task_params.rel_window must be in (0, 1], got 2.0",
+     "task_params.rel_window must be in (0, 1] and finite, got 2.0"),
+    ("scan", "task_params", "rel_window", '"a"',
+     "task_params.rel_window must be a finite number, got 'a'",
+     "task_params.rel_window must be real, got 'a'"),
+    ("scan", "task_params", "n_omega", "6",
+     "task_params.n_omega must be >= 7, got 6",
+     "task_params.n_omega must be an integer of 7 or more, got 6"),
+    ("scan", "task_params", "values", "[4.0, 1e400]",
+     "task_params.values must be a nonempty list of finite numbers",
+     "task_params.values must be finite, got inf at index 1"),
+    ("scan", "task_params", "values", "[1.0, true]",
+     "task_params.values must be a nonempty list of finite numbers",
+     "task_params.values must be real, got [1.0, True]"),
+    ("fidelity", "task_params", "durations", "[-1.0, 5.0]",
+     "task_params.durations must be positive",
+     "task_params.durations must be positive and finite, got -1.0 at index 0"),
+    ("fidelity", "task_params", "durations", "[5.0, NaN]",
+     "task_params.durations must be a nonempty list of finite numbers",
+     "task_params.durations must be positive and finite, got nan at index 1"),
+    ("fidelity", "task_params", "durations", "[]",
+     "task_params.durations must be a nonempty list of finite numbers",
+     "task_params.durations must be nonempty, or null for no pulses"),
+]
+
+
+class TestConfigErrorMessages:
+    @pytest.mark.parametrize("task, section, key, literal, old, new", MESSAGES,
+                             ids=[f"{m[0]}-{m[2]}={m[3][:12]}" for m in MESSAGES])
+    def test_refusal_names_the_key_and_the_library_rule(
+        self, tmp_path, capsys, task, section, key, literal, old, new,
+    ):
+        params = {
+            "cw": {"d_b_min": 0.5, "d_b_max": 10.0, "n_db": 4},
+            "propagate": {"omega": 0.45},
+            "spectrum": {"regime": "free", "n_k": 41},
+            "spinwave": {"n_samples": 64},
+            "fidelity": {"d_b_min": 1.0, "d_b_max": 10.0, "n_db": 10, "durations": [1.0],
+                         "omega_min": -1.0, "omega_max": 1.0, "n_omega": 5},
+            "scan": {"parameter": "OmegaS", "values": [1.0, 2.0],
+                     "observable": "transparency_width"},
+        }[task]
+        config = {"physical": dict(PHYSICAL, L=5.0, x_gate=2.5), "task": task,
+                  "task_params": params}
+        config[section][key] = "@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"@"', literal))
+        out = tmp_path / "out"
+        assert main([task, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"polsim: config error: {new}\n" != f"polsim: config error: {old}\n"
+        assert not out.exists()
+
+
 class TestSchemaAndExitCodes:
     def test_malformed_json_exits_2_without_artifacts(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -94,6 +94,35 @@ class TestPropagationMatrix:
                 scalar = propagation_matrix(float(z), 12.0, 0.25, cfg)
                 assert np.array_equal(stacked[i], scalar)
 
+    def test_gate_position_and_frequency_broadcast(self):
+        # every input broadcasts: an array of gate positions or of
+        # frequencies gives one matrix per entry, with the bits of a scalar
+        # call, never the first entry's matrix alone
+        cfg = make_config(2.0, phi=1.3)
+        xs = np.array([1.0, 2.0, 12.0, 20.5])
+        omegas = np.array([-3.0, 0.25, 0.3, 7.0])
+        by_x = propagation_matrix(12.5, xs, 0.3, cfg)
+        by_omega = propagation_matrix(12.5, 12.0, omegas, cfg)
+        assert by_x.shape == by_omega.shape == (4, 2, 2)
+        for i in range(4):
+            assert by_x[i].tobytes() == propagation_matrix(12.5, float(xs[i]), 0.3, cfg).tobytes()
+            assert by_omega[i].tobytes() == propagation_matrix(
+                12.5, 12.0, float(omegas[i]), cfg).tobytes()
+
+    def test_solve_bvp_route_gives_the_bits_of_a_frequency_array(self):
+        # solve_bvp takes one omega and an array of positions; its matrices
+        # are the bits of the same positions on an omega array.  For 0.135476
+        # and 0.1588, Python's omega**2 is one ulp off omega * omega, which
+        # numpy takes for an array's square, so the rescaled Omega**4 /
+        # omega**2 term must be formed as a product on both routes.
+        cfg = make_config(2.0, phi=1.3)
+        omegas = np.array([-3.0, 0.135476, 0.1588, 0.25, 7.0])
+        assert any(w**2 != w * w for w in omegas.tolist())
+        zs = np.linspace(0.0, 24.0, 97)
+        stacked = propagation_matrix(zs[:, None], 12.0, omegas, cfg)
+        for j, omega in enumerate(omegas.tolist()):
+            assert stacked[:, j].tobytes() == propagation_matrix(zs, 12.0, omega, cfg).tobytes()
+
 
 class TestSolveBvpCw:
     def test_zero_frequency_raises(self):

@@ -174,6 +174,17 @@ class TestSusceptibilities:
         for array, column in zip(arrays, zip(*scalars), strict=True):
             assert np.array(column).tobytes() == array.tobytes()
 
+    def test_susceptibilities_broadcast_over_omega(self):
+        # an omega array gives one triple per frequency, with the bits of a
+        # scalar call, never the first frequency's triple alone
+        rng = np.random.default_rng(13)
+        omegas = np.concatenate([[-3.0, 0.3, 0.7, 7.0], rng.uniform(-5.0, 5.0, 200)])
+        arrays = susceptibilities(0.5, omegas, CFG)
+        assert all(a.shape == omegas.shape for a in arrays)
+        scalars = [susceptibilities(0.5, float(w), CFG) for w in omegas]
+        for array, column in zip(arrays, zip(*scalars), strict=True):
+            assert np.array(column).tobytes() == array.tobytes()
+
     def test_cross_coupling_alive_at_finite_detuning_without_gate(self):
         _, _, chi_c = free_susceptibilities(0.5, CFG)
         assert abs(chi_c) > 1e-3
