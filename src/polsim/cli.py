@@ -31,7 +31,9 @@ from . import __version__
 from .core_model import PhysicalConfig, _check_count, _check_grid, _check_values, derive_scales
 from .errors import PolsimError, SchemaError
 from .fidelity import _check_durations, _masked_gate_baseline, fidelity_report, switch_fidelities
-from .polariton_spectrum import REGIMES, _check_k_grid_inputs, composition, default_k_grid, spectrum
+from .polariton_spectrum import (
+    _check_k_grid_inputs, _check_regime, composition, default_k_grid, spectrum,
+)
 from .propagation import (
     _check_width_inputs,
     _magnitude,
@@ -219,7 +221,7 @@ def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:
 # manifest_extras) and touches no file
 
 def _run_spectrum(cfg, scales, params):
-    regime = _choice(params, "regime", REGIMES)
+    regime = _check_regime(params["regime"], SchemaError, "task_params.regime")
     names = ("task_params.kmax_labs", "task_params.n_k")
     kmax, n_k = _check_k_grid_inputs(params["kmax_labs"], params["n_k"], SchemaError, names)
     branches = spectrum(default_k_grid(cfg, kmax_labs=kmax, n=n_k), regime, cfg)
@@ -387,8 +389,17 @@ def _run_scan(cfg, scales, params):
         ("task_params.rel_window", "task_params.n_omega"),
     )
 
-    def one(value):
-        sub = dataclasses.replace(cfg, **{parameter: value})
+    # every swept config is a config like any other: refused before any solve
+    subs = []
+    for value in values:
+        try:
+            sub = dataclasses.replace(cfg, **{parameter: value})
+            derive_scales(sub)
+        except ValueError as exc:
+            raise SchemaError(f"task_params.values: {exc}") from exc
+        subs.append(sub)
+
+    def one(value, sub):
         if observable == "transparency_width":
             fit = transparency_width_study(sub, rel_window=rel_window, n=n_omega)
             return (value, fit.fitted, fit.predicted, fit.rel_error)
@@ -396,7 +407,7 @@ def _run_scan(cfg, scales, params):
         return value, *_magnitude(res.transmission), *_magnitude(res.reflection), res.absorption
 
     header = [f"{parameter} (config units)", *_SCAN_COLUMNS[observable]]
-    columns = [np.array(c) for c in zip(*map(one, values))]
+    columns = [np.array(c) for c in zip(*map(one, values, subs))]
     extras = {"parameter": parameter, "observable": observable}
     return {"scan.csv": _csv_text(header, columns)}, extras
 

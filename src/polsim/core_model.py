@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,8 +117,12 @@ class DerivedScales:
     delta_omega0: float
 
 
+@lru_cache(maxsize=64)
 def derive_scales(config: PhysicalConfig) -> DerivedScales:
     """Compute the derived scales of a configuration.
+
+    The result is kept for the last 64 configs: a config is frozen, so
+    equal configs share one ``DerivedScales``.
 
     A blockade radius longer than the medium (``z_b > L``) is returned as
     is: every solver computes such a medium, and the command line records

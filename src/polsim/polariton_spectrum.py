@@ -51,6 +51,13 @@ _DARK_TOL = 1e-12
 _FIT_K_MAX = 0.01
 
 
+def _check_regime(regime, error=ValueError, name="regime") -> str:
+    """``regime``; raises ``error`` naming ``name`` unless it is one of ``REGIMES``."""
+    if regime not in REGIMES:
+        raise error(f"{name} must be one of {REGIMES}, got {regime!r}")
+    return regime
+
+
 def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     """Bloch matrix at momentum ``k`` (inverse-length units of the config).
 
@@ -59,8 +66,7 @@ def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     the S row and column (the exact infinite-shift limit).  ``k`` may be a
     scalar or an array; the result has shape ``k.shape + (dim, dim)``.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    _check_regime(regime)
     k = np.asarray(_check_values("k", k, array=True))
 
     G, Om, OmS = config.G, config.Omega, config.OmegaS
@@ -88,6 +94,7 @@ def dark_polariton_vectors(regime: str, config: PhysicalConfig) -> list[np.ndarr
     backward combination (photon and S only).  Blockaded regime: the single
     stationary-light combination of both photons with D.
     """
+    _check_regime(regime)
     G, Om, OmS = config.G, config.Omega, config.OmegaS
     ephi = cmath.exp(1j * config.phi)
     if regime == "free":
@@ -95,10 +102,8 @@ def dark_polariton_vectors(regime: str, config: PhysicalConfig) -> list[np.ndarr
                          dtype=np.complex128)
         left = np.array([0.0, OmS, 0.0, 0.0, 0.0, -G], dtype=np.complex128)
         vecs = [right, left]
-    elif regime == "blockaded":
-        vecs = [np.array([Om, Om * ephi, 0.0, 0.0, -G], dtype=np.complex128)]
     else:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+        vecs = [np.array([Om, Om * ephi, 0.0, 0.0, -G], dtype=np.complex128)]
     return [v / np.linalg.norm(v) for v in vecs]
 
 

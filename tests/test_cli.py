@@ -581,16 +581,30 @@ class TestSchemaAndExitCodes:
         )
         assert main(["cw", "--config", str(cfg)]) == 2
 
-    def test_numerical_failure_exits_3_atomically(self, tmp_path):
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            ("G", [0.1, -1.0], "task_params.values: G must be positive and finite, got -1.0"),
+            ("x_gate", [1.0, 30.0], "x_gate must be in the medium [0, 24.0], got 30.0"),
+            ("OmegaS", [1.0, 1e-200], "task_params.values: derived scales"),
+        ],
+        ids=["G", "x_gate", "OmegaS"],
+    )
+    def test_scan_value_refused_like_a_config_value(
+        self, tmp_path, capsys, parameter, values, message
+    ):
+        # each swept config is built before any computation, so a value the
+        # config refuses exits 2 with nothing written, as in "physical"
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path, physical=PHYSICAL, task="scan",
-            task_params={"parameter": "G", "values": [0.1, -1.0],
+            task_params={"parameter": parameter, "values": values,
                          "observable": "cw_point"},
             output_dir=str(out),
         )
-        assert main(["scan", "--config", str(cfg)]) == 3
-        assert list(out.glob("*")) == []  # no partial artifacts, no manifest
+        assert main(["scan", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_solve_exits_3_without_artifacts(self, tmp_path, capsys):
         # d_b = 30 over 48 blockade radii at omega = gamma: the step product
@@ -669,6 +683,17 @@ class TestSchemaAndExitCodes:
             task_params={**params, key: "abc"}, output_dir=str(out),
         )
         assert main([task, "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_unknown_regime_exits_2_in_the_library_wording(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, physical=PHYSICAL, task="spectrum",
+            task_params={"regime": "both", "n_k": 5}, output_dir=str(out),
+        )
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        wording = "task_params.regime must be one of ('free', 'blockaded'), got 'both'"
+        assert wording in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("task, section, key, literal", [

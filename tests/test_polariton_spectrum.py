@@ -7,6 +7,7 @@ companion solve.
 """
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -118,8 +119,11 @@ class TestBuildBlochMatrix:
 
     def test_input_validation(self):
         cfg = make_config()
-        with pytest.raises(ValueError):
+        wording = "regime must be one of ('free', 'blockaded'), got 'both'"
+        with pytest.raises(ValueError, match=re.escape(wording)):
             build_bloch_matrix(0.0, "both", cfg)
+        with pytest.raises(ValueError, match=re.escape(wording)):
+            dark_polariton_vectors("both", cfg)
 
     def test_array_k_stacks_per_k_builds(self):
         cfg = make_config(phi=0.6)

@@ -786,6 +786,16 @@ class TestStepExponential:
         for coarse, fine in itertools.pairwise(changes):
             assert fine * 40.0 <= coarse
 
+    def test_widths_carry_the_minus_i(self):
+        # the solver passes M with widths -1j h; (-1j h) M rounds as h (-1j M)
+        rng = np.random.default_rng(5)
+        m1, m2, m3 = (component_stack(random_matrices(rng, 300)) for _ in range(3))
+        h = np.geomspace(1e-3, 2.0, 300)
+        folded = propagation._magnus_steps(np.multiply(-1j, h), m1, m2, m3)
+        rotated = propagation._magnus_steps(h, -1j * m1, -1j * m2, -1j * m3)
+        for got, want in zip(folded, rotated):
+            assert np.array_equal(got, want)
+
 
 class TestComponentProducts:
     """``_mul``, ``_tree_product`` and ``_suffix_products`` against matmul."""
@@ -853,8 +863,11 @@ class TestComponentProducts:
         rng = np.random.default_rng(n)
         coarse = self.random_steps(rng, n)
         fine = self.random_steps(rng, 2 * n)
-        pairs = propagation._mul(fine[:, 1::2], fine[:, 0::2])
-        phis = propagation._tree_product(np.stack([coarse, pairs], axis=1))
+        pair = np.empty((4, 2, n), dtype=complex)
+        pair[:, 0] = coarse
+        propagation._mul(fine[:, 1::2], fine[:, 0::2], out=pair[:, 1])
+        assert np.array_equal(pair[:, 1], propagation._mul(fine[:, 1::2], fine[:, 0::2]))
+        phis = propagation._tree_product(pair)
         assert np.array_equal(phis[:, 0], propagation._tree_product(coarse))
         assert np.array_equal(phis[:, 1], propagation._tree_product(fine))
 
@@ -897,6 +910,56 @@ class TestFieldOnFirstRead:
         res = cw_analytic(cfg.x_gate, cfg)
         assert isinstance(res.field, propagation.TwoModeField)
         assert res.field is res.field
+
+
+class TestGridCache:
+    """The grids ``solve_bvp`` and ``cw_analytic`` share per medium length and level."""
+
+    @staticmethod
+    def bits(res):
+        f = res.field
+        return (repr(res.reflection), repr(res.transmission), repr(res.richardson_error),
+                res.refinements, f.z.tobytes(), f.e_right.tobytes(), f.e_left.tobytes())
+
+    @pytest.mark.parametrize(
+        "d_b, L, omega, x, refinements", [(5.0, 24.0, 0.45, 12.0, 1), (1.0, 2.0, 3.0, 0.0, 5)]
+    )
+    def test_cold_cache_gives_the_warm_bits(self, d_b, L, omega, x, refinements):
+        cfg = make_config(d_b, L=L)
+        warm = solve_bvp(omega, x, cfg)
+        assert warm.refinements == refinements
+        propagation._level_grid.cache_clear()
+        cold = solve_bvp(omega, x, cfg)
+        assert self.bits(cold) == self.bits(warm)
+
+    def test_grids_are_read_only_and_never_handed_out(self):
+        cfg = make_config(1.0, L=2.0)
+        res = solve_bvp(3.0, 0.0, cfg)
+        grids = [propagation._level_grid(2.0, level) for level in range(1, res.refinements + 1)]
+        for grid in grids:
+            for array in grid:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        for field in (res.field, cw_analytic(1.0, cfg).field):
+            assert field.z.flags.writeable
+            assert not any(np.shares_memory(field.z, a) for grid in grids for a in grid)
+
+    def test_level_one_grid_holds_the_base_steps_first(self):
+        widths, points, nodes = propagation._level_grid(2.0, 1)
+        base = _build_nodes(2.0)
+        n = base.size - 1
+        assert np.array_equal(nodes, halved(base))
+        assert widths.size == 3 * n and points.shape == (3 * widths.size,)
+        assert np.array_equal(widths, -1j * np.concatenate([np.diff(base), np.diff(nodes)]))
+
+    def test_cache_stays_bounded(self):
+        size = propagation._GRID_CACHE_SIZE
+        for k in range(size + 3):
+            cfg = make_config(1.0, L=2.0 + 0.05 * k, x_gate=1.0)
+            solve_bvp(0.45, 1.0, cfg)
+        assert propagation._level_grid.cache_info().currsize == size
+        assert propagation._level_grid.cache_info().maxsize == size
 
 
 class TestSolveBvpProperties:
