@@ -28,11 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_model import PhysicalConfig, _check_count, _check_grid, _check_values, derive_scales
+from .core_model import (
+    PhysicalConfig, _check_choice, _check_count, _check_grid, _check_values, derive_scales,
+)
 from .errors import PolsimError, SchemaError
 from .fidelity import _check_durations, _masked_gate_baseline, fidelity_report, switch_fidelities
 from .polariton_spectrum import (
-    _check_k_grid_inputs, _check_regime, composition, default_k_grid, spectrum,
+    REGIMES, _check_k_grid_inputs, composition, default_k_grid, spectrum,
 )
 from .propagation import (
     _check_width_inputs,
@@ -85,12 +87,6 @@ def _check_keys(obj: dict, required, optional, where: str) -> None:
 
 def _number(params: dict, key: str, sign: str = "") -> float:
     return _check_values(f"task_params.{key}", params[key], sign, SchemaError)
-
-
-def _choice(params: dict, key: str, choices: tuple):
-    if params[key] not in choices:
-        raise SchemaError(f"task_params.{key} must be one of {choices}, got {params[key]!r}")
-    return params[key]
 
 
 def _grid(params: dict, name: str, n_key: str, positive: bool = False) -> np.ndarray:
@@ -220,8 +216,8 @@ def _commit(outdir: Path, run_id: str, artifacts: dict, manifest: dict) -> None:
 # task implementations; each returns ({artifact name: text chunks},
 # manifest_extras) and touches no file
 
-def _run_spectrum(cfg, scales, params):
-    regime = _check_regime(params["regime"], SchemaError, "task_params.regime")
+def _run_spectrum(cfg, params):
+    regime = _check_choice("task_params.regime", params["regime"], REGIMES, SchemaError)
     names = ("task_params.kmax_labs", "task_params.n_k")
     kmax, n_k = _check_k_grid_inputs(params["kmax_labs"], params["n_k"], SchemaError, names)
     branches = spectrum(default_k_grid(cfg, kmax_labs=kmax, n=n_k), regime, cfg)
@@ -246,7 +242,7 @@ def _run_spectrum(cfg, scales, params):
     return {"spectrum.csv": _csv_text(header, columns)}, extras
 
 
-def _run_t0(cfg, scales, params):
+def _run_t0(cfg, params):
     fit_width = params["fit_width"]
     if not isinstance(fit_width, bool):
         raise SchemaError(f"task_params.fit_width must be true or false, got {fit_width!r}")
@@ -260,13 +256,13 @@ def _run_t0(cfg, scales, params):
     ]
     extras = {}
     if fit_width:
-        fit = _width_fit(result, scales.delta_omega0)
+        fit = _width_fit(result, cfg)
         extras["width_fit"] = {"fitted (rad/s)": fit.fitted, "predicted (rad/s)": fit.predicted,
                                "rel_error": fit.rel_error}
     return {"t0.csv": _csv_text(header, columns)}, extras
 
 
-def _run_propagate(cfg, scales, params):
+def _run_propagate(cfg, params):
     omega = _number(params, "omega")
     if omega == 0.0:
         result = cw_analytic(cfg.x_gate, cfg)
@@ -292,7 +288,7 @@ def _run_propagate(cfg, scales, params):
     return {"propagate.csv": _csv_text(header, columns)}, extras
 
 
-def _run_cw(cfg, scales, params):
+def _run_cw(cfg, params):
     dbs = _grid(params, "d_b", "n_db", positive=True)
     t, r, loss = cw_bulk_coefficients(dbs, cfg.phi)
     columns = [
@@ -311,7 +307,7 @@ def _run_cw(cfg, scales, params):
     return {"cw.csv": _csv_text(header, columns)}, {}
 
 
-def _run_spinwave(cfg, scales, params):
+def _run_spinwave(cfg, params):
     n = _check_count("task_params.n_samples", params["n_samples"], _MIN_SAMPLES, SchemaError)
     rho0 = initial_sine_mode(cfg.L, n)
     evolved = evolve_cw(rho0, cfg)
@@ -338,7 +334,7 @@ def _run_spinwave(cfg, scales, params):
     return artifacts, {"spinwave_summary": summary}
 
 
-def _run_fidelity(cfg, scales, params):
+def _run_fidelity(cfg, params):
     dbs = _grid(params, "d_b", "n_db", positive=True)
     n = _check_count("task_params.n_samples", params["n_samples"], _MIN_SAMPLES, SchemaError)
     durations = ()
@@ -377,12 +373,14 @@ def _run_fidelity(cfg, scales, params):
             ["duration (s)", "fidelity (dimensionless)"],
             list(np.array(sorted(report.f_pulse.items())).T),
         )
-    return artifacts, {"operating_point_d_b": scales.d_b}
+    return artifacts, {"operating_point_d_b": report.d_b}
 
 
-def _run_scan(cfg, scales, params):
-    parameter = _choice(params, "parameter", _PHYSICAL_KEYS)
-    observable = _choice(params, "observable", tuple(_SCAN_COLUMNS))
+def _run_scan(cfg, params):
+    parameter = _check_choice("task_params.parameter", params["parameter"], _PHYSICAL_KEYS,
+                              SchemaError)
+    observable = _check_choice("task_params.observable", params["observable"],
+                               tuple(_SCAN_COLUMNS), SchemaError)
     values = sorted(_check_grid("task_params.values", params["values"], error=SchemaError).tolist())
     rel_window, n_omega = _check_width_inputs(
         params["rel_window"], params["n_omega"], SchemaError,
@@ -490,8 +488,7 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
         raise SchemaError(
             f"config task {task!r} conflicts with command-line task {cli_task!r}"
         )
-    if task not in TASKS:
-        raise SchemaError(f"task must be one of {TASKS}, got {task!r}")
+    _check_choice("task", task, TASKS, SchemaError)
 
     physical = _require_mapping(raw["physical"], "physical")
     _check_keys(physical, set(_PHYSICAL_KEYS), set(), "physical")
@@ -523,7 +520,7 @@ def run(config_path, cli_task: str | None = None, overrides=(), out_override=Non
     timestamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        artifacts, extras = _TASKS[task][0](cfg, scales, params)
+        artifacts, extras = _TASKS[task][0](cfg, params)
 
     manifest = {
         "task": task,

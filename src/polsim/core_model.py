@@ -251,6 +251,20 @@ def _check_count(name: str, value, minimum: int, error=ValueError, odd=False) ->
     raise error(f"{name} must be {rule}, got {reprlib.repr(value)}")
 
 
+def _check_finite(name: str, value, error=ValueError) -> np.ndarray:
+    """``value`` as a complex array; raises ``error`` naming its first non-finite entry."""
+    values = np.asarray(value, dtype=complex)
+    _refuse(name, "finite", values, np.isfinite(values), error)
+    return values
+
+
+def _check_choice(name: str, value, choices: tuple, error=ValueError):
+    """``value``; raises ``error`` naming ``name`` unless it is one of ``choices``."""
+    if value not in choices:
+        raise error(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
 def _real_array(name: str, value, error, array: bool) -> np.ndarray:
     """``value`` as a float array of real numbers, 0-d unless ``array``, or raise ``error``.
 
@@ -310,4 +324,4 @@ def _refuse(name: str, rule: str, values: np.ndarray, ok: np.ndarray, error) -> 
     if not ok.all():
         at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
         index = f" at index {at[0] if len(at) == 1 else at}" if at else ""
-        raise error(f"{name} must be {rule}, got {float(values[at])!r}{index}")
+        raise error(f"{name} must be {rule}, got {values[at].item()!r}{index}")

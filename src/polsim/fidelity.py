@@ -20,6 +20,7 @@ from .core_model import (
     PhysicalConfig,
     PulseSpec,
     _check_count,
+    _check_finite,
     _check_grid,
     _check_values,
     _numbers,
@@ -110,10 +111,11 @@ def pulse_router_fidelity(pulse: PulseSpec, r1_spectrum: np.ndarray) -> float:
     """Routing fidelity of a finite-bandwidth pulse.
 
     Magnitude of the spectral overlap sum_i w_i R1(omega_i) |E0(omega_i)|**2
-    with trapezoid weights w on the pulse grid; the unit-norm spectrum makes
-    this the phase-coherent average of R1 over the pulse.
+    with trapezoid weights w on the pulse grid, ``r1_spectrum`` holding a
+    finite R1 at each point; the unit-norm spectrum makes this the
+    phase-coherent average of R1 over the pulse.
     """
-    r1 = np.asarray(r1_spectrum, dtype=complex)
+    r1 = _check_finite("r1_spectrum", r1_spectrum, GridError)
     if r1.shape != pulse.omega_grid.shape:
         shapes = f"{pulse.omega_grid.shape}, got shape {r1.shape}"
         raise GridError(f"r1_spectrum must have the pulse grid's shape {shapes}")

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import (
-    PhysicalConfig, _check_count, _check_grid, _check_values, _numbers, derive_scales,
+    PhysicalConfig, _check_choice, _check_count, _check_grid, _check_finite, _check_values,
+    _numbers, derive_scales,
 )
 from .errors import FitWindowError, FitWindowWarning, GridError
 
@@ -51,13 +52,6 @@ _DARK_TOL = 1e-12
 _FIT_K_MAX = 0.01
 
 
-def _check_regime(regime, error=ValueError, name="regime") -> str:
-    """``regime``; raises ``error`` naming ``name`` unless it is one of ``REGIMES``."""
-    if regime not in REGIMES:
-        raise error(f"{name} must be one of {REGIMES}, got {regime!r}")
-    return regime
-
-
 def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     """Bloch matrix at momentum ``k`` (inverse-length units of the config).
 
@@ -66,7 +60,7 @@ def build_bloch_matrix(k, regime: str, config: PhysicalConfig) -> np.ndarray:
     the S row and column (the exact infinite-shift limit).  ``k`` may be a
     scalar or an array; the result has shape ``k.shape + (dim, dim)``.
     """
-    _check_regime(regime)
+    _check_choice("regime", regime, REGIMES)
     k = np.asarray(_check_values("k", k, array=True))
 
     G, Om, OmS = config.G, config.Omega, config.OmegaS
@@ -94,7 +88,7 @@ def dark_polariton_vectors(regime: str, config: PhysicalConfig) -> list[np.ndarr
     backward combination (photon and S only).  Blockaded regime: the single
     stationary-light combination of both photons with D.
     """
-    _check_regime(regime)
+    _check_choice("regime", regime, REGIMES)
     G, Om, OmS = config.G, config.Omega, config.OmegaS
     ephi = cmath.exp(1j * config.phi)
     if regime == "free":
@@ -227,10 +221,10 @@ def spectrum(
 def composition(eigenvector: np.ndarray):
     """Weight fractions (photon_right, photon_left, atomic) of a polariton.
 
-    ``eigenvector`` is one vector, giving three Python floats, or a stack of
-    them along the last axis, giving arrays over the leading axes.
+    ``eigenvector`` is one finite vector, giving three Python floats, or a
+    stack of them along the last axis, giving arrays over the leading axes.
     """
-    v = np.asarray(eigenvector, dtype=np.complex128)
+    v = _check_finite("eigenvector", eigenvector)
     if not v.ndim:
         raise ValueError("eigenvector must be a vector or a stack of them, got shape ()")
     # sum of |v|**2 by the BLAS dot product that np.vdot(v, v) uses

@@ -442,8 +442,7 @@ def cw_analytic(x, config):
     after one halving (40 steps per blockade radius).
     """
     _check_in_medium("x", x, config.L)
-    scales = derive_scales(config)
-    nu_total = nu(config.L, x, scales)
+    nu_total = nu(config.L, x, config)
     t, r, loss = _cw_coefficients(nu_total.real, nu_total.imag, config.phi)
     return ScatterResult(
         omega=0.0,
@@ -453,19 +452,20 @@ def cw_analytic(x, config):
         richardson_error=0.0,
         refinements=0,
         segments=0,
-        _build_field=partial(_cw_field, x, config, scales, nu_total, r, t),
+        _build_field=partial(_cw_field, x, config, nu_total, r, t),
     )
 
 
-def _cw_field(x, config, scales, nu_total, r, t):
+def _cw_field(x, config, nu_total, r, t):
     """Closed-form cw field with end rows (1, r) and (t, 0), as in ``_field``.
 
     E_right = (1 + nu(L) - nu(z)) / (1 + nu(L)) and
     E_left = e^{-i phi} (nu(L) - nu(z)) / (1 + nu(L)), on the base grid
     halved once: the grid of ``solve_bvp`` at level 1.
     """
-    z = _level_grid(config.L / scales.z_b, 1)[2] * scales.z_b
-    rest = nu_total - nu(z[1:-1], x, scales)
+    z_b = derive_scales(config).z_b
+    z = _level_grid(config.L / z_b, 1)[2] * z_b
+    rest = nu_total - nu(z[1:-1], x, config)
     denom = 1.0 + nu_total
     psi = np.empty((z.size, 2), dtype=np.complex128)
     psi[0] = (1.0, r)
@@ -626,7 +626,7 @@ def transparency_width_study(config, rel_window=1e-3, n=21) -> WidthFit:
     rel_window, n = _check_width_inputs(rel_window, n)
     predicted = derive_scales(config).delta_omega0
     grid = np.linspace(-rel_window * predicted, rel_window * predicted, n)
-    return _width_fit(t0_spectrum(grid, config), predicted)
+    return _width_fit(t0_spectrum(grid, config), config)
 
 
 def _check_width_inputs(rel_window, n, error=ValueError, names=("rel_window", "n")):
@@ -635,7 +635,8 @@ def _check_width_inputs(rel_window, n, error=ValueError, names=("rel_window", "n
     return rel_window, _check_count(names[1], n, 7, error)
 
 
-def _width_fit(t0_results: T0Spectrum, predicted: float) -> WidthFit:
-    """The width fitted to ``t0_results`` next to ``predicted``, and their relative error."""
+def _width_fit(t0_results: T0Spectrum, config) -> WidthFit:
+    """The width fitted to ``t0_results``, ``config``'s predicted width and their relative error."""
     fitted = fitted_transparency_width(t0_results)
+    predicted = derive_scales(config).delta_omega0
     return WidthFit(fitted, predicted, abs(fitted - predicted) / predicted)

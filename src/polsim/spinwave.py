@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import (
-    PhysicalConfig, _check_count, _check_in_medium, _check_values, _numbers, _real_array,
-    derive_scales, trapezoid_weights,
+    PhysicalConfig, _check_count, _check_finite, _check_in_medium, _check_values, _numbers,
+    _real_array, derive_scales, trapezoid_weights,
 )
 from .errors import GridError, PositivityWarning, QuadratureError
 from .propagation import _cw_coefficients
@@ -50,7 +50,7 @@ _PAIR_BLOCK = 2048
 class SpinWaveDensityMatrix:
     """Position-basis density matrix of the stored excitation.
 
-    ``grid`` holds N sample positions in [0, L]; ``rho[i, j]`` is the
+    ``grid`` holds N sample positions in [0, L]; ``rho[i, j]`` is the finite
     coherence between ``grid[i]`` and ``grid[j]``.  Traces and purities are
     discrete integrals with trapezoid weights, so a normalized state has
     ``trace() == 1`` regardless of N.
@@ -63,7 +63,7 @@ class SpinWaveDensityMatrix:
         object.__setattr__(self, "grid", _real_array("grid", self.grid, GridError, array=True))
         # trapezoid_weights checks the grid
         n = self.weights.size
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = _check_finite("rho", self.rho, GridError)
         if rho.shape != (n, n):
             raise GridError(f"rho must have the grid's shape {(n, n)}, got shape {rho.shape}")
         object.__setattr__(self, "rho", rho)
@@ -141,7 +141,7 @@ def _factor_matrix(grid: np.ndarray, config: PhysicalConfig) -> np.ndarray:
     from scipy.integrate import quad_vec
 
     scales = derive_scales(config)
-    nu_l = nu(config.L, grid, scales)
+    nu_l = nu(config.L, grid, config)
     t = _cw_coefficients(nu_l.real, nu_l.imag, 0.0)[0]
     # z, x, y in blockade-radius units
     length_r = config.L / scales.z_b

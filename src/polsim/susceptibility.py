@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core_model import DerivedScales, PhysicalConfig, _check_values, _numbers, derive_scales
+from .core_model import PhysicalConfig, _check_values, _numbers, derive_scales
 from .errors import SingularFrequencyError, SusceptibilityPoleError
 
 __all__ = [
@@ -63,7 +63,7 @@ def _xi(omega, config):
     return omega + 1j * config.gamma - config.Omega**2 / omega
 
 
-def _chi_arrays(dz, omega, config, scales):
+def _chi_arrays(dz, omega, config):
     """Vectorized rescaled susceptibility triple.
 
     ``dz`` (separations from the gate; 0 is the gate point, ``inf`` the
@@ -78,6 +78,7 @@ def _chi_arrays(dz, omega, config, scales):
     has a pole that cancels.  The pole check is the unscaled one with both
     sides multiplied by ``p``.
     """
+    z_b = derive_scales(config).z_b
     x = _xi(omega, config)
     om2 = config.Omega**2
     om4_w2 = om2**2 / (omega * omega)
@@ -101,8 +102,8 @@ def _chi_arrays(dz, omega, config, scales):
             omega=np.broadcast_to(omega, pole.shape).flat[at].item(),
         )
     # rescaled by z_b, the three share one reciprocal of the denominator
-    inv = scales.z_b * g2_c / denom
-    free = scales.z_b * omega / config.c
+    inv = z_b * g2_c / denom
+    free = z_b * omega / config.c
     chi_r = num_r * inv - free
     chi_l = free - x_w * inv
     chi_c = (om2 / omega) * w * inv
@@ -141,7 +142,7 @@ def susceptibilities(dz, omega, config: PhysicalConfig):
     """
     dz = _check_values("dz", dz, array=True)
     omega = _check_values("omega", omega, array=True)
-    chi = _chi_arrays(np.atleast_1d(dz), omega, config, derive_scales(config))
+    chi = _chi_arrays(np.atleast_1d(dz), omega, config)
     return _numbers(chi, dz, omega)
 
 
@@ -153,7 +154,7 @@ def free_susceptibilities(omega, config: PhysicalConfig):
     ``complex`` with the bits of the matching array element.
     """
     omega = _check_values("omega", omega, array=True)
-    chi = _chi_arrays(np.inf, np.atleast_1d(omega), config, derive_scales(config))
+    chi = _chi_arrays(np.inf, np.atleast_1d(omega), config)
     return _numbers(chi, omega)
 
 
@@ -163,7 +164,7 @@ _KERNEL_ROOTS = 2.0 ** (1.0 / 6.0) * np.exp(1j * np.pi * (4 * np.arange(6) - 1) 
 _KERNEL_WEIGHTS = 1j * _KERNEL_ROOTS / 12.0
 
 
-def nu(z, x, scales: DerivedScales):
+def nu(z, x, config: PhysicalConfig):
     """Accumulated CW response ``1j * integral_0^z chi0(z' - x) dz'``.
 
     The CW kernel ``chi0`` is the rescaled forward susceptibility of a
@@ -171,14 +172,16 @@ def nu(z, x, scales: DerivedScales):
     resonance the three collapse onto it.  ``z`` (nonnegative) and ``x`` are
     finite physical lengths, scalars (giving a Python ``complex``) or arrays
     that broadcast.  The integral is exact: in blockade-radius units the
-    kernel is ``d_b / (u**6 + 2j)``, integrated over ``u`` from
-    ``a = -x / z_b`` to ``b = (z - x) / z_b``, and its partial fractions over
-    the six roots r of ``r**6 = -2j`` integrate to
+    kernel is ``d_b / (u**6 + 2j)`` (``config``'s scales), integrated over
+    ``u`` from ``a = -x / z_b`` to ``b = (z - x) / z_b``, and its partial
+    fractions over the six roots r of ``r**6 = -2j`` integrate to
     ``sum [log(b - r) - log(a - r)] / (6 r**5)``.  No root is real, so each
     principal log is continuous along the real axis.
     """
     z = _check_values("z", z, "nonnegative", array=True)
-    lo = -np.asarray(_check_values("x", x, array=True))[..., None] / scales.z_b
+    x = _check_values("x", x, array=True)
+    scales = derive_scales(config)
+    lo = -np.asarray(x)[..., None] / scales.z_b
     hi = np.asarray(z)[..., None] / scales.z_b + lo
     logs = np.log(hi - _KERNEL_ROOTS) - np.log(lo - _KERNEL_ROOTS)
     val = 1j * scales.d_b * np.sum(_KERNEL_WEIGHTS * logs, axis=-1)

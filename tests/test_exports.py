@@ -1,6 +1,6 @@
 """The package namespace re-exports exactly the library modules' public names,
 no library module imports a name it neither uses nor exports, every
-module-level private name and every result field has a reader, and no public
+module-level private name and every result field has a reader, and no
 function takes scales apart from its config."""
 
 import ast
@@ -109,10 +109,15 @@ def test_every_result_field_is_read():
 
 
 def test_scales_come_from_the_config():
-    # derive_scales(config) is the one source of scales: no public callable
-    # accepts optional scales that could disagree with its config, and none
-    # has an oversized-blockade switch
+    # derive_scales(config) is the one source of scales: no callable, public
+    # or private, accepts scales, required or optional, that could disagree
+    # with its config or go unchecked, and none has an oversized-blockade switch
     offenders = []
+    for module_name in (*LIBRARY_MODULES, "cli"):
+        module = importlib.import_module(f"polsim.{module_name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and "scales" in inspect.signature(fn).parameters:
+                offenders.append(f"{module_name}.{name}(scales)")
     for name in polsim.__all__:
         obj = getattr(polsim, name)
         if not callable(obj):
@@ -121,9 +126,8 @@ def test_scales_come_from_the_config():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        scales = params.get("scales")
-        if scales is not None and scales.default is not inspect.Parameter.empty:
-            offenders.append(f"{name}(scales=...)")
+        if "scales" in params:
+            offenders.append(f"{name}(scales)")
         if "allow_oversized_blockade" in params:
             offenders.append(f"{name}(allow_oversized_blockade=...)")
     assert not offenders, f"scales settable apart from the config: {offenders}"

@@ -10,7 +10,8 @@ what the parameter accepts:
   scalar count as one number;
 * ``grid``: a one-dimensional array, every point checked;
 * ``count``: an integer (no bool) not below a minimum;
-* ``shape``: an array whose shape is fixed by the other arguments.
+* ``shape``: an array of finite complex entries whose shape is fixed by
+  the other arguments.
 
 Every row refuses a bad value with an error that starts with the
 parameter's name and names the rule and the bad entry, with its index
@@ -28,12 +29,7 @@ import numpy as np
 import pytest
 
 import polsim
-from polsim.core_model import (
-    PhysicalConfig,
-    derive_scales,
-    gaussian_pulse_spectrum,
-    trapezoid_weights,
-)
+from polsim.core_model import PhysicalConfig, gaussian_pulse_spectrum, trapezoid_weights
 from polsim.errors import GridError, PolsimError
 from polsim.fidelity import (
     blockade_gate_baseline,
@@ -63,12 +59,11 @@ from polsim.susceptibility import free_susceptibilities, nu, susceptibilities, x
 
 CFG = PhysicalConfig(G=1.0, Omega=1.0, OmegaS=1.0, gamma=1.0, phi=0.3,
                      c=1.0, C6=1.0, L=5.0, x_gate=2.5)
-SCALES = derive_scales(CFG)
 GRID = np.linspace(-1.0, 1.0, 11)
 MEDIUM = f"in the medium [0, {CFG.L!r}]"
 
 # parameters that take no number: configurations, choices and results
-NOT_NUMBERS = {"config", "scales", "regime", "branch", "t0_results", "rho0", "dm", "pulse"}
+NOT_NUMBERS = {"config", "regime", "branch", "t0_results", "rho0", "dm", "pulse"}
 # public classes that hold results the library computes, not inputs it checks
 RESULTS = {
     "DerivedScales", "PulseSpec", "PolaritonBranch", "DispersionFit", "TwoModeField",
@@ -123,9 +118,9 @@ ROWS = [
         lambda v: susceptibilities(0.5, v, CFG), (-2.0, 0.3, 0.7, 5.0)),
     Row("free_susceptibilities", "omega", "broadcast",
         lambda v: free_susceptibilities(v, CFG), (-2.0, 1e-6, 0.7, 5.0)),
-    Row("nu", "z", "broadcast", lambda v: nu(v, 2.5, SCALES), (0.0, 1.0, 2.5, 5.0),
+    Row("nu", "z", "broadcast", lambda v: nu(v, 2.5, CFG), (0.0, 1.0, 2.5, 5.0),
         "nonnegative and finite", (-1.0,)),
-    Row("nu", "x", "broadcast", lambda v: nu(5.0, v, SCALES), (-1.0, 0.0, 2.5, 6.0)),
+    Row("nu", "x", "broadcast", lambda v: nu(5.0, v, CFG), (-1.0, 0.0, 2.5, 6.0)),
     Row("build_bloch_matrix", "k", "broadcast",
         lambda v: build_bloch_matrix(v, "free", CFG), (-1.0, 0.0, 0.5, 2.0)),
     grid_row("spectrum", "k_grid", lambda v: spectrum(v, "free", CFG), 3),
@@ -367,6 +362,18 @@ def test_scalar_for_a_shaped_array_is_refused_by_name(row):
     with pytest.raises(row.error) as info:
         row.call(5.0)
     assert str(info.value) == f"{row.rule}, got shape ()"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.3, math.nan)])
+@pytest.mark.parametrize("row", rows("shape"))
+def test_non_finite_entry_of_a_shaped_array_is_refused_by_name_and_index(row, bad):
+    values = np.array(row.goods[0], dtype=complex)
+    at = tuple(int(i) for i in np.unravel_index(3, values.shape))
+    values[at] = bad
+    with pytest.raises(row.error) as info:
+        row.call(values)
+    index = at[0] if len(at) == 1 else at
+    assert str(info.value) == f"{row.param} must be finite, got {complex(bad)!r} at index {index}"
 
 
 def planted(bad):

@@ -98,8 +98,8 @@ class TestInitialSineMode:
 def oracle_factor(x, y, cfg):
     """F(x, y) from 1/(1 + nu) and one complex quad run of the kernel."""
     scales = derive_scales(cfg)
-    t_x = 1.0 / (1.0 + nu(cfg.L, x, scales))
-    t_y = 1.0 / (1.0 + nu(cfg.L, y, scales))
+    t_x = 1.0 / (1.0 + nu(cfg.L, x, cfg))
+    t_y = 1.0 / (1.0 + nu(cfg.L, y, cfg))
     kernel = complex_kernel_integral(x / scales.z_b, y / scales.z_b, cfg.L / scales.z_b)
     return 1.0 + 1j * scales.d_b * t_x * np.conj(t_y) * kernel
 
@@ -210,8 +210,8 @@ class TestCoherenceFactor:
         x, y = 7.3, 11.1
         direct = coherence_factor(x, y, cfg)
 
-        t_x = 1.0 / (1.0 + nu(cfg.L, x, scales))
-        t_y = 1.0 / (1.0 + nu(cfg.L, y, scales))
+        t_x = 1.0 / (1.0 + nu(cfg.L, x, cfg))
+        t_y = 1.0 / (1.0 + nu(cfg.L, y, cfg))
 
         def cross(z):
             return 1.0 / (((z - x) ** 6 + 2j) * ((z - y) ** 6 - 2j))
@@ -220,7 +220,7 @@ class TestCoherenceFactor:
                         epsabs=1e-12, complex_func=True)
         alt = (
             1.0
-            - t_x * np.conj(t_y) * (nu(cfg.L, x, scales) + np.conj(nu(cfg.L, y, scales)))
+            - t_x * np.conj(t_y) * (nu(cfg.L, x, cfg) + np.conj(nu(cfg.L, y, cfg)))
             + 4.0 * scales.d_b * t_x * np.conj(t_y) * c_val
         )
         assert abs(direct - alt) < 1e-12

@@ -287,7 +287,7 @@ class TestSixthPower:
 
 class TestNu:
     def test_zero_interval(self):
-        assert nu(0.0, 0.3, SCALES) == 0.0
+        assert nu(0.0, 0.3, CFG) == 0.0
 
     def test_matches_dense_trapezoid_oracle(self):
         # Independent route: brute-force trapezoid on a very fine grid.
@@ -298,26 +298,26 @@ class TestNu:
             zs = np.linspace(0.0, z, 400001)
             f = chi0_cw(zs - x, SCALES)
             brute = 1j * np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(zs))
-            assert nu(z, x, SCALES) == pytest.approx(brute, abs=5e-8 * SCALES.d_b)
+            assert nu(z, x, CFG) == pytest.approx(brute, abs=5e-8 * SCALES.d_b)
 
     def test_bulk_limit_when_gate_is_deep(self):
-        val = nu(40.0, 20.0, SCALES)
+        val = nu(40.0, 20.0, CFG)
         assert abs(val - SCALES.d_b * NU_INFINITY) < 1e-4 * abs(SCALES.d_b * NU_INFINITY)
 
     def test_half_bulk_at_the_gate_point(self):
-        val = nu(20.0, 20.0, SCALES)  # integrate only the left half of the kernel
+        val = nu(20.0, 20.0, CFG)  # integrate only the left half of the kernel
         assert val == pytest.approx(0.5 * SCALES.d_b * NU_INFINITY, rel=1e-4)
 
     def test_real_part_grows_monotonically_through_the_sphere(self):
         x = 6.0
-        vals = [nu(z, x, SCALES).real for z in np.linspace(0.5, 12.0, 24)]
+        vals = [nu(z, x, CFG).real for z in np.linspace(0.5, 12.0, 24)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
-            nu(-1.0, 0.0, SCALES)
+            nu(-1.0, 0.0, CFG)
         with pytest.raises(ValueError):
-            nu(np.array([1.0, -1.0]), 0.0, SCALES)
+            nu(np.array([1.0, -1.0]), 0.0, CFG)
 
     def test_matches_mpmath_oracle_on_long_media(self):
         # 30-digit quadrature split at the kernel's shoulders; media up to
@@ -331,19 +331,19 @@ class TestNu:
                 ref = 1j * mpmath.quad(
                     lambda u: SCALES.d_b / ((u - xr) ** 6 + 2j), [0, *cuts, zr]
                 )
-                assert abs(nu(z, x, SCALES) - complex(ref)) <= 1e-13 * SCALES.d_b
+                assert abs(nu(z, x, CFG) - complex(ref)) <= 1e-13 * SCALES.d_b
         finally:
             mpmath.mp.dps = 15
 
     def test_array_input_matches_scalars(self):
         zs = np.array([0.0, 0.7, 5.0, 30.0])
         xs = np.array([[0.0], [15.0]])
-        arr = nu(zs, xs, SCALES)
+        arr = nu(zs, xs, CFG)
         assert arr.shape == (2, 4)
         for i, x in enumerate(xs[:, 0]):
             for j, z in enumerate(zs):
                 # a Python complex with the bits of the array element
-                scalar = nu(float(z), float(x), SCALES)
+                scalar = nu(float(z), float(x), CFG)
                 assert type(scalar) is complex
                 assert np.complex128(scalar).tobytes() == arr[i, j].tobytes()
 
